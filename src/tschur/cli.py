@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -113,10 +114,8 @@ def cmd_dist(args):
         "command": "dist", "m": args.m, "n": args.n, "alpha": args.alpha,
         "t": args.t, "h_max": args.h_max, "mode": args.mode,
     }
-    rows = []
-    for h in range(args.h_max + 1):
-        val = lambda1_cdf_exact(params, h, mode=args.mode)
-        rows.append((h, float(val)))
+    hs = range(args.h_max + 1)
+    rows = [(h, float(v)) for h, v in zip(hs, lambda1_cdf_exact(params, hs, mode=args.mode))]
     if args.format == "json":
         stream, close = _open_out(args.out)
         try:
@@ -212,8 +211,9 @@ def cmd_converge(args):
     return 0
 
 
-def _report(label, ok, failures):
-    print(f"{'PASS' if ok else 'FAIL'}  {label}")
+def _report(label, ok, failures, start):
+    """One PASS/FAIL line with the seconds the suite took since `start`."""
+    print(f"{'PASS' if ok else 'FAIL'}  {label}  ({time.perf_counter() - start:.2f} s)")
     if not ok:
         failures.append(label)
 
@@ -229,6 +229,7 @@ def cmd_verify(args):
     full = args.level == "full"
     failures = []
 
+    start = time.perf_counter()
     degree = 8 if not full else 10
     ok = True
     for m in (1, 2, 3):
@@ -236,8 +237,9 @@ def cmd_verify(args):
             for t in (Fraction(0), Fraction(-1, 2), Fraction(-1)):
                 good, _ = cauchy_check(m, n, t, degree)
                 ok = ok and good
-    _report(f"cauchy identity degreewise to alpha^{degree}", ok, failures)
+    _report(f"cauchy identity degreewise to alpha^{degree}", ok, failures, start)
 
+    start = time.perf_counter()
     degree = 16 if not full else 24
     ok = True
     for (m, n) in ((2, 2), (3, 2)) if not full else ((2, 2), (3, 2), (3, 3)):
@@ -247,15 +249,16 @@ def cmd_verify(args):
                 sym = numerics.symbol_phi_alpha_series(m, n, t, -(max(h, 1) - 1), max(h - 1, 0), degree)
                 rhs = numerics.toeplitz_det_series(sym, h)
                 ok = ok and (lhs == rhs)
-    _report(f"gessel identity degreewise to alpha^{degree}", ok, failures)
+    _report(f"gessel identity degreewise to alpha^{degree}", ok, failures, start)
 
+    start = time.perf_counter()
     p = MeasureParams(5, 5, Fraction(2, 5), Fraction(-1, 2))
-    ok = True
-    for h in range(3, 11):
-        exact = float(lambda1_cdf_exact(p, h, mode="exact"))
-        ok = ok and abs(numerics.bo_cdf(p, h) - exact) < 1e-8
-    _report("borodin-okounkov vs exact toeplitz cdf", ok, failures)
+    hs = range(3, 11)
+    exact = lambda1_cdf_exact(p, hs, mode="exact")
+    ok = all(abs(v - float(e)) < 1e-8 for v, e in zip(numerics.bo_cdf(p, hs), exact))
+    _report("borodin-okounkov vs exact toeplitz cdf", ok, failures, start)
 
+    start = time.perf_counter()
     letters = [None] + [Entry(v, mk) for v in (1, 2) for mk in (False, True)]
     ok = True
     for picks in itertools.product(letters, repeat=4):
@@ -264,7 +267,7 @@ def cmd_verify(args):
         w = biword_from_matrix(a)
         ok = ok and longest_increasing(w) == s.shape().first_row()
         ok = ok and inverse_rsk(s, u, 2, 2) == a
-    _report("rsk round-trip and lis exhaustive 2x2", ok, failures)
+    _report("rsk round-trip and lis exhaustive 2x2", ok, failures, start)
 
     if failures:
         print(f"{len(failures)} suite(s) failed")

@@ -203,19 +203,31 @@ def lambda1_cdf_exact(params, h, mode="auto"):
     the rationals; the float route evaluates the same quantity as the
     finite-section Fredholm determinant of the Hankel product, which stays
     numerically meaningful at sizes where the raw Toeplitz determinant
-    drowns in cancellation.  `mode` may force "exact" or "float".
+    drowns in cancellation.  `mode` may force "exact" or "float"; "auto"
+    takes the exact route for exact parameters and h <= 6.
+
+    `h` may be an int or a sequence of ints; a sequence returns a list with
+    the value of each h, its route chosen per h as for a single call.  All
+    float-routed h share one `bo_cdf` call.
     """
     from . import numerics
 
-    if h < 0:
+    single = np.ndim(h) == 0
+    hs = [h] if single else list(h)
+    if any(hh < 0 for hh in hs):
         raise ValueError("h must be nonnegative")
-    if mode == "auto":
-        mode = "exact" if (params.exact and _is_exactish(params.t) and h <= 6) else "float"
-    if mode == "exact":
-        sym = numerics.symbol_phi(params, -(max(h, 1) - 1), max(h - 1, 0), exact=True)
-        det = numerics.toeplitz_det(sym, h)
-        return det / z_norm(params)
-    return numerics.bo_cdf(params, h)
+    exact_ok = params.exact and _is_exactish(params.t)
+    exact = [mode == "exact" or (mode == "auto" and exact_ok and hh <= 6) for hh in hs]
+    floats = [hh for hh, ex in zip(hs, exact) if not ex]
+    float_vals = iter(numerics.bo_cdf(params, floats) if floats else [])
+    vals = []
+    for hh, ex in zip(hs, exact):
+        if ex:
+            sym = numerics.symbol_phi(params, -(max(hh, 1) - 1), max(hh - 1, 0), exact=True)
+            vals.append(numerics.toeplitz_det(sym, hh) / z_norm(params))
+        else:
+            vals.append(next(float_vals))
+    return vals[0] if single else vals
 
 
 def lambda1_cdf_exact_oracle(params, h):
@@ -247,5 +259,5 @@ def ks_distance(values, params, h_max=None, mode="float"):
         h_max = int(values.max()) + 2
     grid = np.arange(h_max + 1)
     emp = empirical_cdf(values, grid)
-    exact = np.array([float(lambda1_cdf_exact(params, int(h), mode=mode)) for h in grid])
+    exact = np.array([float(v) for v in lambda1_cdf_exact(params, range(h_max + 1), mode=mode)])
     return float(np.max(np.abs(emp - exact)))

@@ -323,39 +323,62 @@ def bo_cdf(params, h, N=None, warn_tol=None, precise=None):
     """P(lambda_1 <= h) by the finite-section Fredholm determinant
     det(I - H1 H2) restricted to indices h..N-1.
 
+    `h` may be an int (returns a float) or a sequence of ints (returns a
+    list with one float per h).  A grid builds the double-precision Hankel
+    coefficients once, and the mp ones once over the union of the windows
+    of the h that need them; every section is a slice of these, and each h
+    takes the route a call with that h alone takes.  The values match
+    single calls bit for bit, except that for t != 0 the mp build runs the
+    e_j(x;t) series to the union's largest index, so where that series has
+    not decayed by an h's own 2N-1 the grid carries more terms.  `N`, if
+    given, is the section end for every h.
+
     The sign-diagonal conjugation by J leaves the determinant unchanged, so
     it is not applied explicitly.  With `precise=None` the Hankel
-    coefficients are recomputed at extended precision whenever the
-    double-precision magnitudes betray catastrophic cancellation; True/False
-    force the choice.
+    coefficients of an h are recomputed at extended precision whenever the
+    double-precision magnitudes on its window [h+1, 2N-1] betray
+    catastrophic cancellation; True/False force the choice.
     """
-    if N is None:
-        N = h + default_section(params)
-    if N <= h:
+    single = np.ndim(h) == 0
+    hs = [h] if single else list(h)
+    section = default_section(params) if N is None else None
+    ends = [N if N is not None else hh + section for hh in hs]
+    if any(end <= hh for hh, end in zip(hs, ends)):
         raise ValueError("N must exceed h")
-    kmin, kmax = h + 1, 2 * N - 1
-    if precise is False or precise is None:
-        psi1, psi2 = hankel_symbols(params, kmax)
-        psi1, psi2 = psi1[kmin:], psi2[kmin:]
-        if precise is None:
-            peak = np.max(np.abs(psi1)) * np.max(np.abs(psi2))
-            precise = bool(not np.isfinite(peak) or peak > 1e6)
-    if precise:
-        psi1, psi2 = hankel_symbols_mp(params, kmin, kmax)
-    rows = np.arange(h, N)
-    inner = np.arange(N)
-    hank1 = psi1[rows[:, None] + inner[None, :] + 1 - kmin]
-    hank2 = psi2[inner[:, None] + rows[None, :] + 1 - kmin]
-    block = hank1 @ hank2
-    val = float(np.linalg.det(np.eye(N - h) - block))
-    if warn_tol is not None:
-        ref = bo_cdf(params, h, N + 32, precise=precise)
-        if abs(ref - val) > warn_tol:
-            warnings.warn(
-                f"bo_cdf finite section not converged: |delta| = {abs(ref - val):.3e}",
-                RuntimeWarning,
-            )
-    return min(max(val, 0.0), 1.0)
+    routes = [precise] * len(hs)
+    # per h: (index of entry 0, psi1, psi2) of the build its route uses
+    coeffs = [None] * len(hs)
+    if precise is not True and hs:
+        psi1, psi2 = hankel_symbols(params, max(2 * end - 1 for end in ends))
+        for i, (hh, end) in enumerate(zip(hs, ends)):
+            coeffs[i] = (0, psi1, psi2)
+            if precise is None:
+                window = slice(hh + 1, 2 * end)
+                peak = np.max(np.abs(psi1[window])) * np.max(np.abs(psi2[window]))
+                routes[i] = bool(not np.isfinite(peak) or peak > 1e6)
+    mp = [i for i, route in enumerate(routes) if route]
+    if mp:
+        kmin = min(hs[i] for i in mp) + 1
+        built = (kmin,) + hankel_symbols_mp(params, kmin, max(2 * ends[i] - 1 for i in mp))
+        for i in mp:
+            coeffs[i] = built
+    vals = []
+    for hh, end, route, (base, psi1, psi2) in zip(hs, ends, routes, coeffs):
+        rows = np.arange(hh, end)
+        inner = np.arange(end)
+        hank1 = psi1[rows[:, None] + inner[None, :] + 1 - base]
+        hank2 = psi2[inner[:, None] + rows[None, :] + 1 - base]
+        block = hank1 @ hank2
+        val = float(np.linalg.det(np.eye(end - hh) - block))
+        if warn_tol is not None:
+            ref = bo_cdf(params, hh, end + 32, precise=route)
+            if abs(ref - val) > warn_tol:
+                warnings.warn(
+                    f"bo_cdf finite section not converged: |delta| = {abs(ref - val):.3e}",
+                    RuntimeWarning,
+                )
+        vals.append(min(max(val, 0.0), 1.0))
+    return vals[0] if single else vals
 
 
 def default_section(params):

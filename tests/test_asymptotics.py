@@ -103,6 +103,8 @@ def test_scaled_cdf_shift_conventions():
     strict = scaled_cdf(params, data, 0.0, shift=-1)
     weak = scaled_cdf(params, data, 0.0, shift=0)
     assert 0 <= strict <= weak <= 1
+    # a grid: points below the support read 0 without a CDF evaluation
+    assert scaled_cdf(params, data, [-100.0, 0.0]) == [0.0, strict]
 
 
 def test_convergence_experiment_small():
@@ -113,6 +115,12 @@ def test_convergence_experiment_small():
     assert all(np.isfinite(s["sup_distance"]) for s in summary)
     assert summary[1]["sup_distance"] < summary[0]["sup_distance"] + 0.05
     assert len(rows) == 6
+    # one grid call per n gives exactly the per-s values
+    data = constants(0.5, 1.0, 0.0)
+    for n in (10, 30):
+        params = MeasureParams(n, n, 0.5, 0.0)
+        got = [r["empirical_cdf"] for r in rows if r["n"] == n]
+        assert got == [scaled_cdf(params, data, s) for s in (-2.0, 0.0, 2.0)]
 
 
 def test_convergence_experiment_rejects_fractional_m():

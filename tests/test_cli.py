@@ -1,10 +1,15 @@
 """Command-line interface: artifacts, determinism, and exit codes."""
 
 import json
+import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 PAPER_MATRIX = "1' 0 2\n2 1 2'\n1' 1' 0"
+REPO = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*args, input_text=None):
@@ -111,3 +116,28 @@ def test_verify_quick_passes():
 def test_usage_error_exit_code():
     res = run_cli("dist", "--m", "2")
     assert res.returncode == 2
+
+
+def test_readme_commands_run_as_written(tmp_path):
+    """Each `tschur` line of the README's sh blocks runs in the shell, pipes
+    included, with `tschur` standing for `python -m tschur.cli`; the library
+    example runs as Python."""
+    readme = (REPO / "README.md").read_text()
+    lines = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+        for line in block.splitlines():
+            if re.match(r"(tschur |.*\| tschur )", line) and line not in lines:
+                lines.append(line)
+    assert any(line.startswith("printf") for line in lines)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(REPO / "src"), path])))
+    alias = f'tschur() {{ {shlex.quote(sys.executable)} -m tschur.cli "$@"; }}\n'
+    for line in lines:
+        res = subprocess.run(["sh", "-c", alias + line], cwd=tmp_path, env=env,
+                             stdin=subprocess.DEVNULL, capture_output=True, text=True)
+        assert res.returncode == 0, f"{line}\n{res.stderr}"
+        if "| tschur rsk" in line:
+            assert "lambda_1 = 6   lis(w) = 6" in res.stdout
+    assert (tmp_path / "samples.csv").exists() and (tmp_path / "conv_rows.csv").exists()
+    (example,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(compile(example, "README.md", "exec"), {})

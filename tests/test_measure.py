@@ -121,6 +121,12 @@ def test_cdf_float_matches_exact():
         ex = float(lambda1_cdf_exact(p, h, mode="exact"))
         fl = lambda1_cdf_exact(p, h, mode="float")
         assert abs(ex - fl) < 1e-12
+    # a grid in auto mode: rationals up to h = 6, floats from the float route after
+    auto = lambda1_cdf_exact(p, range(10))
+    assert auto[:7] == [lambda1_cdf_exact(p, h, mode="exact") for h in range(7)]
+    assert all(isinstance(v, Fraction) for v in auto[:7])
+    assert auto[7:] == [lambda1_cdf_exact(p, h, mode="float") for h in range(7, 10)]
+    assert all(isinstance(v, float) for v in auto[7:])
 
 
 def test_cdf_monotone_and_limits():
@@ -134,6 +140,8 @@ def test_cdf_monotone_and_limits():
 def test_cdf_rejects_negative_h():
     with pytest.raises(ValueError):
         lambda1_cdf_exact(MeasureParams(2, 2, F(1, 2), 0), -1)
+    with pytest.raises(ValueError):
+        lambda1_cdf_exact(MeasureParams(2, 2, F(1, 2), 0), [0, -1])
 
 
 def test_mc_cdf_consistent():

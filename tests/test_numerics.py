@@ -128,10 +128,40 @@ def test_bo_cdf_tail_and_degenerate_limits():
 
 def test_bo_cdf_precise_matches_float_at_moderate_size():
     p = MeasureParams(10, 10, F(2, 5), F(-1))
-    for h in (8, 12, 16):
+    hs = (8, 12, 16)
+    for h in hs:
         lo = numerics.bo_cdf(p, h, precise=False)
         hi = numerics.bo_cdf(p, h, precise=True)
         assert abs(lo - hi) < 1e-9
+    for precise in (False, True):
+        assert numerics.bo_cdf(p, hs, precise=precise) == [
+            numerics.bo_cdf(p, h, precise=precise) for h in hs
+        ]
+
+
+@pytest.mark.parametrize(
+    "p, hs, mp_window",
+    [
+        # every h on the mp route
+        (MeasureParams(60, 60, F(1, 2), F(0)), range(100, 141, 4), (101, 405)),
+        # h <= 14 on the mp route, the rest on the float route
+        (MeasureParams(25, 25, F(1, 2), F(-1, 2)), range(7, 59), (8, 147)),
+        # h = 60, 62 alone would work at one more mp digit than the union
+        (MeasureParams(44, 44, F(17, 20), F(0)), range(60, 100, 2), (61, 319)),
+    ],
+)
+def test_bo_cdf_grid_matches_single_calls(monkeypatch, p, hs, mp_window):
+    single = [numerics.bo_cdf(p, h) for h in hs]
+    windows = []
+    build = numerics.hankel_symbols_mp
+
+    def counted(params, kmin, kmax):
+        windows.append((kmin, kmax))
+        return build(params, kmin, kmax)
+
+    monkeypatch.setattr(numerics, "hankel_symbols_mp", counted)
+    assert numerics.bo_cdf(p, hs) == single  # bit for bit
+    assert windows == [mp_window]  # one mp build for the whole grid
 
 
 def test_bo_cdf_large_size_is_stable():
@@ -148,6 +178,8 @@ def test_bo_cdf_section_warning():
     p = MeasureParams(5, 5, F(2, 5), F(-1, 2))
     with pytest.warns(RuntimeWarning):
         numerics.bo_cdf(p, 4, N=4 + 4, warn_tol=1e-12)
+    with pytest.warns(RuntimeWarning):
+        numerics.bo_cdf(p, [3, 4], N=4 + 4, warn_tol=1e-12)
 
 
 def test_toeplitz_slogdet_small_sizes():
