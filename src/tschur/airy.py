@@ -1,197 +1,18 @@
-"""Airy function Ai and the Airy kernel.
-
-The central range |x| <= 9 is evaluated by the Maclaurin series in extended
-precision (the series suffers catastrophic cancellation in doubles already
-near |x| ~ 5); beyond that the standard asymptotic expansions converge to
-better than 1e-15 relative.  A piecewise Chebyshev table accelerates
-vectorized evaluation for quadrature work.
-"""
+"""Airy function Ai and its derivative, from `scipy.special.airy`."""
 
 from __future__ import annotations
 
-import math
-
-import mpmath
 import numpy as np
-
-AI_MIN, AI_MAX = -40.0, 200.0
-_SERIES_EDGE = 9.0
-_CHEB_DEGREE = 24
-_CHEB_STEP = 1.0
-
-
-def _maclaurin_pair(x):
-    """(Ai(x), Ai'(x)) by the Maclaurin series at 40-digit working precision."""
-    with mpmath.workdps(40):
-        xm = mpmath.mpf(x)
-        c1 = mpmath.mpf(3) ** mpmath.mpf("-2/3") / mpmath.gamma(mpmath.mpf(2) / 3)
-        c2 = mpmath.mpf(3) ** mpmath.mpf("-1/3") / mpmath.gamma(mpmath.mpf(1) / 3)
-        # f = sum 3^k (1/3)_k x^{3k}/(3k)!,  g = sum 3^k (2/3)_k x^{3k+1}/(3k+1)!
-        f = mpmath.mpf(1)
-        fp = mpmath.mpf(0)
-        g = xm
-        gp = mpmath.mpf(1)
-        tf = mpmath.mpf(1)
-        tg = xm
-        k = 0
-        x3 = xm ** 3
-        while True:
-            tf = tf * x3 * (3 * k + 1) / ((3 * k + 1) * (3 * k + 2) * (3 * k + 3))
-            tg = tg * x3 * (3 * k + 2) / ((3 * k + 2) * (3 * k + 3) * (3 * k + 4))
-            k += 1
-            f += tf
-            g += tg
-            fp += tf * (3 * k) / xm if xm != 0 else 0
-            gp += tg * (3 * k + 1) / xm if xm != 0 else 0
-            if abs(tf) < mpmath.mpf(10) ** (-45) and abs(tg) < mpmath.mpf(10) ** (-45):
-                break
-        ai = c1 * f - c2 * g
-        aip = c1 * fp - c2 * gp
-        if x == 0:
-            aip = -c2
-        return float(ai), float(aip)
-
-
-def _asym_uk(nterms):
-    """Coefficients u_k, v_k of the large-|x| expansions (DLMF 9.7)."""
-    u = [1.0]
-    v = [1.0]
-    for k in range(nterms - 1):
-        u.append(u[-1] * (6 * k + 1) * (6 * k + 3) * (6 * k + 5) / (216.0 * (k + 1) * (2 * k + 1)))
-    for k in range(1, nterms):
-        v.append(u[k] * (6 * k + 1) / (1 - 6 * k))
-    return np.array(u), np.array(v)
-
-
-_UK, _VK = _asym_uk(26)
-
-
-def _asym_pos(x):
-    """Ai, Ai' for x > _SERIES_EDGE (vectorized)."""
-    x = np.asarray(x, dtype=float)
-    zeta = (2.0 / 3.0) * x ** 1.5
-    zk = zeta[..., None] ** -np.arange(len(_UK))
-    signs = (-1.0) ** np.arange(len(_UK))
-    s_ai = np.sum(signs * _UK * zk, axis=-1)
-    s_aip = np.sum(signs * _VK * zk, axis=-1)
-    pref = np.exp(-zeta) / (2.0 * math.sqrt(math.pi))
-    ai = pref * x ** -0.25 * s_ai
-    aip = -pref * x ** 0.25 * s_aip
-    return ai, aip
-
-
-def _asym_neg(x):
-    """Ai, Ai' for x < -_SERIES_EDGE (vectorized, oscillatory expansion)."""
-    X = -np.asarray(x, dtype=float)
-    zeta = (2.0 / 3.0) * X ** 1.5
-    ks = np.arange(len(_UK) // 2)
-    ze = zeta[..., None]
-    even = np.sum((-1.0) ** ks * _UK[2 * ks] * ze ** (-2 * ks), axis=-1)
-    odd = np.sum((-1.0) ** ks * _UK[2 * ks + 1] * ze ** (-2 * ks - 1), axis=-1)
-    even_v = np.sum((-1.0) ** ks * _VK[2 * ks] * ze ** (-2 * ks), axis=-1)
-    odd_v = np.sum((-1.0) ** ks * _VK[2 * ks + 1] * ze ** (-2 * ks - 1), axis=-1)
-    phase = zeta + math.pi / 4.0
-    pref = 1.0 / (math.sqrt(math.pi) * X ** 0.25)
-    ai = pref * (np.sin(phase) * even - np.cos(phase) * odd)
-    aip = -(X ** 0.25 / math.sqrt(math.pi)) * (np.cos(phase) * even_v + np.sin(phase) * odd_v)
-    return ai, aip
-
-
-class _ChebTable:
-    """Piecewise Chebyshev fit of (Ai, Ai') on [-_SERIES_EDGE, _SERIES_EDGE]."""
-
-    def __init__(self):
-        lo, hi = -_SERIES_EDGE, _SERIES_EDGE
-        edges = np.arange(lo, hi + 0.5 * _CHEB_STEP, _CHEB_STEP)
-        self.edges = edges
-        nodes = np.cos(np.pi * (np.arange(_CHEB_DEGREE + 1) + 0.5) / (_CHEB_DEGREE + 1))
-        self.coeffs_ai = []
-        self.coeffs_aip = []
-        for a, b in zip(edges[:-1], edges[1:]):
-            xs = 0.5 * (a + b) + 0.5 * (b - a) * nodes
-            vals = [_maclaurin_pair(x) for x in xs]
-            ai = np.array([v[0] for v in vals])
-            aip = np.array([v[1] for v in vals])
-            self.coeffs_ai.append(np.polynomial.chebyshev.chebfit(nodes, ai, _CHEB_DEGREE))
-            self.coeffs_aip.append(np.polynomial.chebyshev.chebfit(nodes, aip, _CHEB_DEGREE))
-
-    def eval(self, x):
-        x = np.asarray(x, dtype=float)
-        idx = np.clip(
-            np.searchsorted(self.edges, x, side="right") - 1, 0, len(self.coeffs_ai) - 1
-        )
-        ai = np.empty_like(x)
-        aip = np.empty_like(x)
-        for i in np.unique(idx):
-            sel = idx == i
-            a, b = self.edges[i], self.edges[i + 1]
-            u = (2.0 * x[sel] - (a + b)) / (b - a)
-            ai[sel] = np.polynomial.chebyshev.chebval(u, self.coeffs_ai[i])
-            aip[sel] = np.polynomial.chebyshev.chebval(u, self.coeffs_aip[i])
-        return ai, aip
-
-
-_table = None
-
-
-def _get_table():
-    global _table
-    if _table is None:
-        _table = _ChebTable()
-    return _table
-
-
-def _ai_pair(x):
-    """Vectorized (Ai, Ai') over the supported range."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < AI_MIN) or np.any(x > AI_MAX):
-        raise ValueError(f"argument outside supported range [{AI_MIN}, {AI_MAX}]")
-    ai = np.empty_like(x)
-    aip = np.empty_like(x)
-    mid = np.abs(x) <= _SERIES_EDGE
-    if np.any(mid):
-        ai[mid], aip[mid] = _get_table().eval(x[mid])
-    hi = x > _SERIES_EDGE
-    if np.any(hi):
-        ai[hi], aip[hi] = _asym_pos(x[hi])
-    lo = x < -_SERIES_EDGE
-    if np.any(lo):
-        ai[lo], aip[lo] = _asym_neg(x[lo])
-    return ai, aip
+import scipy.special
 
 
 def airy_ai(x):
-    """Ai(x) for real x in [-40, 200]; accepts scalars or arrays."""
-    scalar = np.isscalar(x)
-    ai, _ = _ai_pair(np.atleast_1d(np.asarray(x, dtype=float)))
-    return float(ai[0]) if scalar else ai
+    """Ai(x); a scalar gives a float, an array an array."""
+    ai = scipy.special.airy(x)[0]
+    return float(ai) if np.ndim(ai) == 0 else ai
 
 
 def airy_ai_prime(x):
-    """Ai'(x) on the same range."""
-    scalar = np.isscalar(x)
-    _, aip = _ai_pair(np.atleast_1d(np.asarray(x, dtype=float)))
-    return float(aip[0]) if scalar else aip
-
-
-def _gauss_legendre_panels(a, b, panel, order):
-    """Composite Gauss-Legendre nodes and weights on [a, b]."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(a, b, max(1, int(math.ceil((b - a) / panel))) + 1)
-    xs, ws = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        xs.append(0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes)
-        ws.append(0.5 * (hi - lo) * weights)
-    return np.concatenate(xs), np.concatenate(ws)
-
-
-def airy_kernel(x, y):
-    """K_Airy(x, y) = integral_0^inf Ai(x+z) Ai(y+z) dz.
-
-    Composite Gauss-Legendre on [0, Z] with Z chosen so that the
-    superexponential tail beyond Z is negligible.
-    """
-    lo = min(x, y)
-    zmax = max(6.0, 18.0 - lo)
-    zs, ws = _gauss_legendre_panels(0.0, zmax, 2.0, 16)
-    return float(np.sum(ws * airy_ai(x + zs) * airy_ai(y + zs)))
+    """Ai'(x); a scalar gives a float, an array an array."""
+    aip = scipy.special.airy(x)[1]
+    return float(aip) if np.ndim(aip) == 0 else aip

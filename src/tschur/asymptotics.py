@@ -175,7 +175,7 @@ def scaled_cdf(params, data, s, shift=-1):
     return vals[0] if single else vals
 
 
-def convergence_experiment(alpha, tau, t, n_list, s_grid, shift=-1, tw_kwargs=None):
+def convergence_experiment(alpha, tau, t, n_list, s_grid, shift=-1):
     """Sup-distance between the scaled lambda_1 law and F2 for each n.
 
     The CDF values come from the float route of `lambda1_cdf_exact`, one
@@ -185,8 +185,7 @@ def convergence_experiment(alpha, tau, t, n_list, s_grid, shift=-1, tw_kwargs=No
     the call for that n raised ArithmeticError); summary pairs each n with
     its sup-distance over the grid.
     """
-    tw_kwargs = tw_kwargs or {}
-    f2_vals = {float(s): tw_f2(float(s), **tw_kwargs) for s in s_grid}
+    f2_vals = {float(s): tw_f2(float(s)) for s in s_grid}
     data = constants(alpha, tau, t)
     rows = []
     summary = []

@@ -10,6 +10,7 @@ recovered as a finite-section Fredholm determinant of a Hankel product
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -275,15 +276,16 @@ def hankel_symbols_mp(params, kmin, kmax, extra_dps=45):
         if t == 0:
             ext = [mpmath.binomial(m, j) * alpha ** j for j in range(m + 1)]
         else:
-            jmax = kmax  # generous; trimmed by the tiny-term cutoff below
+            # the Cauchy product of (1+alpha w)^m with the binomial series
+            # b_l of (1+t alpha w)^{-m}, run until its terms are tiny
+            top = [mpmath.binomial(m, i) * alpha ** i for i in range(m + 1)]
             b = [mpmath.mpf(1)]
-            for l in range(jmax):
-                b.append(-b[-1] * t * alpha * (m + l) / (l + 1))
-            top = [mpmath.binomial(m, i) * alpha ** i for i in range(min(m, jmax) + 1)]
             ext = []
-            for j in range(jmax + 1):
+            for j in itertools.count():
+                if j:
+                    b.append(-b[-1] * t * alpha * (m + j - 1) / j)
                 acc = mpmath.mpf(0)
-                for i in range(max(0, j - len(b) + 1), min(j, len(top) - 1) + 1):
+                for i in range(min(j, m) + 1):
                     acc += top[i] * b[j - i]
                 ext.append(acc)
                 if j > m and abs(acc) < tiny:
@@ -327,11 +329,9 @@ def bo_cdf(params, h, N=None, warn_tol=None, precise=None):
     list with one float per h).  A grid builds the double-precision Hankel
     coefficients once, and the mp ones once over the union of the windows
     of the h that need them; every section is a slice of these, and each h
-    takes the route a call with that h alone takes.  The values match
-    single calls bit for bit, except that for t != 0 the mp build runs the
-    e_j(x;t) series to the union's largest index, so where that series has
-    not decayed by an h's own 2N-1 the grid carries more terms.  `N`, if
-    given, is the section end for every h.
+    takes the route a call with that h alone takes, so the values match
+    single calls bit for bit.  `N`, if given, is the section end for every
+    h.
 
     The sign-diagonal conjugation by J leaves the determinant unchanged, so
     it is not applied explicitly.  With `precise=None` the Hankel

@@ -61,12 +61,16 @@ class Partition:
         return f"Partition{self.parts}"
 
 
-def _descending(total, max_part):
+def _descending(total, max_part, rows):
+    """Partitions of `total` with parts <= max_part and at most `rows` parts,
+    parts descending; branches that cannot fit in the box are cut."""
     if total == 0:
         yield ()
         return
+    if total > max_part * rows:
+        return
     for first in range(min(total, max_part), 0, -1):
-        for rest in _descending(total - first, first):
+        for rest in _descending(total - first, first, rows - 1):
             yield (first,) + rest
 
 
@@ -74,9 +78,8 @@ def partitions(max_size, max_part=None, max_rows=None):
     """All partitions with |lambda| <= max_size, ordered by (size, parts descending)."""
     for total in range(max_size + 1):
         cap = total if max_part is None else min(max_part, total)
-        for parts in _descending(total, max(cap, 0) if total else 0):
-            if max_rows is not None and len(parts) > max_rows:
-                continue
+        rows = total if max_rows is None else max_rows
+        for parts in _descending(total, max(cap, 0) if total else 0, rows):
             yield Partition(parts)
 
 

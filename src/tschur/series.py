@@ -37,10 +37,6 @@ class TruncatedSeries:
     def constant(cls, c, order):
         return cls([c], 0, order)
 
-    @classmethod
-    def x_power(cls, k, order, one=Fraction(1)):
-        return cls([one], k, order)
-
     def coeff(self, k):
         """Coefficient of X**k; raises if k exceeds the truncation order."""
         if k > self.order:
@@ -154,14 +150,6 @@ class TruncatedSeries:
         terms = [f"{c}*X^{self.offset + i}" for i, c in enumerate(self.coeffs) if c != 0]
         body = " + ".join(terms) if terms else "0"
         return f"TruncatedSeries({body} + O(X^{self.order + 1}))"
-
-
-def geometric(ratio, order):
-    """1/(1 - ratio*X) expanded through `order`."""
-    coeffs = [1]
-    for _ in range(order):
-        coeffs.append(coeffs[-1] * ratio)
-    return TruncatedSeries(coeffs, 0, order)
 
 
 def det_gauss(rows):

@@ -1,5 +1,6 @@
 """Tracy-Widom F2 via Nystrom discretization of the Airy-kernel Fredholm
-determinant on (s, infinity)."""
+determinant on (s, infinity), with the closed-form kernel (Bornemann, "On the
+numerical evaluation of Fredholm determinants", Math. Comp. 2010)."""
 
 from __future__ import annotations
 
@@ -7,56 +8,60 @@ import math
 
 import numpy as np
 
-from .airy import airy_ai
+from .airy import airy_ai, airy_ai_prime
+
+ORDER = 80  # Gauss-Legendre nodes on the mapped interval
+CUT = 30.0  # the interval is (s, s + CUT); K(x, x) < 1e-54 beyond x = 20
+KAPPA = 3.0  # clustering of the exponential map towards s
+TOL = 1e-8  # largest change under doubling that `check` accepts
 
 
 class NonConvergedError(ArithmeticError):
     """Raised when quadrature refinement fails to stabilize the determinant."""
 
 
-def _exp_map(s, cut, kappa, u):
-    """Exponential change of variables [0,1] -> [s, s+cut] clustering at s."""
-    scale = cut / math.expm1(kappa)
-    x = s + scale * np.expm1(kappa * u)
-    dx = scale * kappa * np.exp(kappa * u)
+def _exp_map(s, u):
+    """Exponential change of variables [0,1] -> [s, s+CUT] clustering at s."""
+    scale = CUT / math.expm1(KAPPA)
+    x = s + scale * np.expm1(KAPPA * u)
+    dx = scale * KAPPA * np.exp(KAPPA * u)
     return x, dx
 
 
-def _kernel_matrix(xs, zcut, zorder):
-    """K_Airy(x_i, x_j) on the node set, via a shared z-quadrature grid.
+def _kernel_matrix(xs):
+    """K_Airy(x_i, x_j) = (Ai(x)Ai'(y) - Ai'(x)Ai(y))/(x - y) on distinct nodes,
+    with the diagonal Ai'(x)^2 - x Ai(x)^2."""
+    ai, aip = airy_ai(xs), airy_ai_prime(xs)
+    diff = xs[:, None] - xs[None, :]
+    np.fill_diagonal(diff, 1.0)
+    K = (ai[:, None] * aip[None, :] - aip[:, None] * ai[None, :]) / diff
+    np.fill_diagonal(K, aip ** 2 - xs * ai ** 2)
+    return K
 
-    K(x,y) = int_0^zcut Ai(x+z) Ai(y+z) dz becomes A A^T with
-    A[i,g] = Ai(x_i + z_g) sqrt(w_g).
-    """
-    zs, zw = np.polynomial.legendre.leggauss(zorder)
-    zs = 0.5 * zcut * (zs + 1.0)
-    zw = 0.5 * zcut * zw
-    A = airy_ai(xs[:, None] + zs[None, :]) * np.sqrt(zw)[None, :]
-    return A @ A.T
 
-def _f2_once(s, order, cut, kappa, zorder):
+def _f2_once(s, order):
     u, w = np.polynomial.legendre.leggauss(order)
     u = 0.5 * (u + 1.0)
     w = 0.5 * w
-    xs, dx = _exp_map(s, cut, kappa, u)
-    K = _kernel_matrix(xs, cut + 8.0, zorder)
+    xs, dx = _exp_map(s, u)
+    K = _kernel_matrix(xs)
     sq = np.sqrt(w * dx)
     M = np.eye(order) - sq[:, None] * K * sq[None, :]
     return float(np.linalg.det(M))
 
 
-def tw_f2(s, order=80, cut=30.0, kappa=3.0, zorder=160, check=False, tol=1e-8):
+def tw_f2(s, check=False):
     """F2(s) = det(I - K_Airy) on L^2(s, infinity).
 
     With `check` the quadrature order is doubled and the refined value is
-    returned; a discrepancy above `tol` raises NonConvergedError.
+    returned; a discrepancy above TOL raises NonConvergedError.
     """
     if not -10.0 <= s <= 10.0:
         raise ValueError("s outside supported range [-10, 10]")
-    val = _f2_once(s, order, cut, kappa, zorder)
+    val = _f2_once(s, ORDER)
     if check:
-        refined = _f2_once(s, 2 * order, cut, kappa, 2 * zorder)
-        if abs(refined - val) > tol:
+        refined = _f2_once(s, 2 * ORDER)
+        if abs(refined - val) > TOL:
             raise NonConvergedError(
                 f"F2({s}) changed by {abs(refined - val):.3e} under refinement"
             )

@@ -148,6 +148,8 @@ def test_bo_cdf_precise_matches_float_at_moderate_size():
         (MeasureParams(25, 25, F(1, 2), F(-1, 2)), range(7, 59), (8, 147)),
         # h = 60, 62 alone would work at one more mp digit than the union
         (MeasureParams(44, 44, F(17, 20), F(0)), range(60, 100, 2), (61, 319)),
+        # t != 0: the e_j(x;t) series runs past 2N-1 of every h before it decays
+        (MeasureParams(40, 40, F(4, 5), F(-1, 2)), range(40, 57, 4), (41, 231)),
     ],
 )
 def test_bo_cdf_grid_matches_single_calls(monkeypatch, p, hs, mp_window):

@@ -36,6 +36,14 @@ def test_partition_counts():
 def test_enumeration_constraints():
     for lam in partitions(8, max_part=3, max_rows=2):
         assert lam.first_row() <= 3 and lam.length() <= 2
+    # the row bound prunes the search; it must keep exactly the unpruned
+    # partitions with at most max_rows rows, in the same order
+    for max_size in (0, 1, 7, 12):
+        for max_part in (None, 0, 1, 2, 3, 5, 12):
+            unpruned = list(partitions(max_size, max_part=max_part))
+            for max_rows in (0, 1, 2, 3, 4, 12):
+                pruned = list(partitions(max_size, max_part=max_part, max_rows=max_rows))
+                assert pruned == [lam for lam in unpruned if lam.length() <= max_rows]
 
 
 def test_box_enumeration():

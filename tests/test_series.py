@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tschur.series import TruncatedSeries, det_expansion, det_gauss, geometric
+from tschur.series import TruncatedSeries, det_expansion, det_gauss
 
 F = Fraction
 
@@ -44,13 +44,6 @@ def test_laurent_offset_and_inverse():
     assert prod.coeff(0) == 1
     for k in range(1, prod.order + 1):
         assert prod.coeff(k) == 0
-
-
-def test_geometric_matches_inverse():
-    r = F(1, 3)
-    direct = geometric(r, 8)
-    via_inv = TruncatedSeries([F(1), -r], 0, 8).inverse()
-    assert direct == via_inv
 
 
 def test_pow_square_and_zero():
