@@ -1,15 +1,14 @@
 """The alpha-specialized t-Schur measure and its first-row distribution.
 
 Partition probabilities are exact rational numbers; the matrix model gives a
-seeded sampler whose lambda_1 statistic (via the longest increasing
-subsequence of the biword) can be compared against the Toeplitz-determinant
-CDF computed in `numerics`.
+seeded sampler whose lambda_1 statistic (the longest increasing subsequence
+of the biword, as a marked last-passage time) can be compared against the
+Toeplitz-determinant CDF computed in `numerics`.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,9 +16,10 @@ import numpy as np
 
 from .partitions import partitions_in_box
 from .rsk import Entry, PMatrix
-from .symfunc import SpecializedVars, schur_S_t, schur_s
+from .symfunc import SpecializedVars, _jacobi_trudi_det, gen_e_coeffs, schur_S_t, schur_s
 
 _TAIL_EPS = 1e-15
+_BLOCK_ENTRIES = 1 << 18  # matrix entries drawn at once by `sample_lambda1`
 
 
 def _is_exactish(x):
@@ -127,21 +127,35 @@ def _mark_prob(t):
     return (-t) / (1 - t) if t != 0 else 0.0
 
 
-def _sample_rng(params, rng):
-    """One matrix draw as (sizes, marks) integer arrays of shape (m, n)."""
-    cum = entry_pmf(params.rho, params.t).cumulative_table()
-    u = rng.random(params.m * params.n)
-    sizes = np.searchsorted(cum, u, side="right").reshape(params.m, params.n)
-    marks = (rng.random(params.m * params.n).reshape(params.m, params.n) < _mark_prob(params.t)) & (
-        sizes > 0
-    )
+def _entry_law(params):
+    """(cumulative table of |a|, probability that a nonzero entry is marked)."""
+    return entry_pmf(params.rho, params.t).cumulative_table(), _mark_prob(params.t)
+
+
+def _draw(law, seeds, cells):
+    """(sizes, marks) arrays of shape (len(seeds), cells), one row per seed:
+    each row takes its own generator and two `random(cells)` calls."""
+    cum, mark_prob = law
+    u = np.empty((len(seeds), 2, cells))
+    for row, seed in zip(u, seeds):
+        rng = np.random.default_rng(seed)
+        rng.random(out=row[0])
+        rng.random(out=row[1])
+    sizes = np.searchsorted(cum, u[:, 0], side="right")
+    marks = (u[:, 1] < mark_prob) & (sizes > 0)
     return sizes, marks
 
 
 def sample_matrix(params, seed):
-    """Draw an m x n matrix with i.i.d. entries from the entrywise law."""
-    rng = np.random.default_rng(seed)
-    sizes, marks = _sample_rng(params, rng)
+    """Draw an m x n matrix with i.i.d. entries from the entrywise law.
+
+    RSK marks the column letters, so the shape of this matrix follows the law
+    of MeasureParams(n, m, ...); `sample_lambda1` draws the n x m layout,
+    whose shape follows `params`.  At m = n the two coincide.
+    """
+    sizes, marks = _draw(_entry_law(params), [seed], params.m * params.n)
+    sizes = sizes.reshape(params.m, params.n)
+    marks = marks.reshape(params.m, params.n)
     entries = [
         [
             Entry(int(sizes[i, j]), bool(marks[i, j])) if sizes[i, j] > 0 else None
@@ -152,47 +166,55 @@ def sample_matrix(params, seed):
     return PMatrix(entries)
 
 
-def _lambda1_from_arrays(sizes, marks):
-    """First-row length via patience sorting on the biword keys (Theorem 3)."""
-    tails = []
-    m, n = sizes.shape
-    for i in range(m):
-        row_sizes = sizes[i]
-        row_marks = marks[i]
-        for j in range(n):
-            v = row_sizes[j]
-            if v == 0:
-                continue
-            key = 2 * (j + 1)
-            if row_marks[j]:
-                pos = bisect_left(tails, key - 1)
-                if pos == len(tails):
-                    tails.append(key - 1)
-                else:
-                    tails[pos] = key - 1
-                v -= 1
-            for _ in range(v):
-                pos = bisect_right(tails, key)
-                if pos == len(tails):
-                    tails.append(key)
-                else:
-                    tails[pos] = key
-    return len(tails)
+def _first_rows(sizes, marks):
+    """lambda_1 of each matrix in a (draws, rows, cols) stack of entry sizes
+    and marks, by the marked last-passage recursion over the cells:
+
+        S(i,j) = max(S(i-1,j) + v_ij - b_ij, F(i,j-1) + v_ij)
+        F(i,j) = max(F(i,j-1), F(i-1,j), S(i,j)),   lambda_1 = F(rows, cols)
+
+    F is the longest increasing subsequence of the biword read from the cells
+    up to (i,j), and S the longest that ends in cell (i,j): a column gives its
+    marked letter at most once, and only before its unmarked ones (Theorem 3;
+    Johansson, CMP 2000, for t = 0).  Along a row, F(i,j) = max(F(i,j-1) +
+    v_ij, F(i-1,j), S(i-1,j) + v_ij - b_ij) is a (max, +) prefix scan, so
+    the loop runs over rows only.
+    """
+    draws, rows, cols = sizes.shape
+    s = np.zeros((draws, cols), dtype=np.int64)
+    f = np.zeros((draws, cols), dtype=np.int64)
+    left = np.zeros((draws, cols), dtype=np.int64)
+    for i in range(rows):
+        v = sizes[:, i]
+        down = s + v - marks[:, i]  # S(i-1,j) + v_ij - b_ij
+        prefix = np.cumsum(v, axis=1)
+        f = prefix + np.maximum.accumulate(np.maximum(np.maximum(f, down) - prefix, 0), axis=1)
+        left[:, 1:] = f[:, :-1]  # F(i,j-1), with F(i,0) = 0
+        s = np.maximum(down, left + v)
+    return f[:, -1]
 
 
 def sample_lambda1(params, samples, seed):
     """Array of lambda_1 values from `samples` independent seeded draws.
 
     Each sample uses its own child stream of `seed` (SeedSequence spawning),
-    so results do not depend on evaluation order or worker partitioning.
+    so results do not depend on evaluation order or block size.  A draw is an
+    n x m matrix: RSK marks its column letters, which carry S_lambda(alpha^m;
+    t), and its rows carry s_lambda(alpha^n).  Draws are taken in blocks of
+    about `_BLOCK_ENTRIES` entries, so memory stays bounded.
     """
     if samples < 1:
         raise ValueError("samples >= 1")
-    streams = np.random.SeedSequence(seed).spawn(samples)
+    law = _entry_law(params)
+    cells = params.m * params.n
+    block = max(1, _BLOCK_ENTRIES // cells)
+    parent = np.random.SeedSequence(seed)
     out = np.empty(samples, dtype=np.int64)
-    for idx, ss in enumerate(streams):
-        sizes, marks = _sample_rng(params, np.random.default_rng(ss))
-        out[idx] = _lambda1_from_arrays(sizes, marks)
+    for start in range(0, samples, block):
+        streams = parent.spawn(min(block, samples - start))
+        sizes, marks = _draw(law, streams, cells)
+        shape = (len(streams), params.n, params.m)
+        out[start:start + len(streams)] = _first_rows(sizes.reshape(shape), marks.reshape(shape))
     return out
 
 
@@ -232,10 +254,20 @@ def lambda1_cdf_exact(params, h, mode="auto"):
 
 def lambda1_cdf_exact_oracle(params, h):
     """Gessel-sum oracle: direct sum of partition probabilities over the
-    finite box {lambda : lambda_1 <= h, rows <= n}.  Exact; slow."""
+    finite box {lambda : lambda_1 <= h, rows <= n}.  Exact; slow.
+
+    Each term is `partition_prob(lam, params)`, with both e-series built once
+    at the box's largest truncation |lambda| + lambda_1 + 1 = h n + h + 1.
+    """
+    nmax = h * params.n + h + 1
+    e_y = gen_e_coeffs(SpecializedVars(params.n, params.alpha), 0, nmax)
+    e_xt = gen_e_coeffs(SpecializedVars(params.m, params.alpha), params.t, nmax)
+    z = z_norm(params)
     total = Fraction(0)
     for lam in partitions_in_box(h, params.n):
-        total += partition_prob(lam, params)
+        s = _jacobi_trudi_det(lam, e_y)
+        if s != 0:
+            total += _jacobi_trudi_det(lam, e_xt) * s / z
     return total
 
 

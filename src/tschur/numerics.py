@@ -137,21 +137,6 @@ def toeplitz_det_series(sym, h):
     return det_expansion(_toeplitz_rows(sym, h))
 
 
-def toeplitz_slogdet(params, h):
-    """(sign, log|det T_h(phi)|) in floating point; log-domain for large h."""
-    if h == 0:
-        return 1.0, 0.0
-    sym = symbol_phi(params, -(h - 1), h - 1, exact=False)
-    mat = np.empty((h, h))
-    for i in range(h):
-        for j in range(h):
-            mat[i, j] = sym.coeff(i - j)
-    sign, logdet = np.linalg.slogdet(mat)
-    if not np.isfinite(logdet):
-        raise ArithmeticError("Toeplitz determinant is singular in float mode")
-    return float(sign), float(logdet)
-
-
 def gessel_lhs_alpha_series(m, n, t, h, degree):
     """sum over {lambda_1 <= h} of S_lambda s_lambda as an exact alpha-series."""
     from .partitions import partitions
@@ -393,26 +378,3 @@ def default_section(params):
         raise ValueError("invalid decay rate")
     tail = max(60, math.ceil(10 / math.log(1 / a)))
     return int(max(tail, math.ceil(16 * max(params.m, params.n) ** (1.0 / 3.0))))
-
-
-def e_phi_fft(params, grid=4096):
-    """E(phi) = exp(sum_k k (log phi)_k (log phi)_{-k}) via FFT on the circle.
-
-    Numerical route used to test the identity E(phi) = Z_t against the
-    closed-form normalization.
-    """
-    theta = 2 * np.pi * np.arange(grid) / grid
-    z = np.exp(1j * theta)
-    alpha, t = float(params.alpha), float(params.t)
-    # summing factor logs keeps every argument in the right half plane,
-    # so the principal branch never jumps along the circle
-    logphi = (
-        params.m * (np.log(1 + alpha / z) - np.log(1 + t * alpha / z))
-        + params.n * np.log(1 + alpha * z)
-    )
-    fk = np.fft.fft(logphi) / grid  # fk[k] ~ (log phi)_k for small |k|
-    kmax = grid // 4
-    acc = 0.0
-    for k in range(1, kmax):
-        acc += k * (fk[k] * fk[-k]).real
-    return math.exp(acc)

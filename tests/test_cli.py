@@ -1,5 +1,6 @@
 """Command-line interface: artifacts, determinism, and exit codes."""
 
+import hashlib
 import json
 import os
 import re
@@ -76,6 +77,22 @@ def test_sample_deterministic_bytes():
     assert a.stdout == b.stdout
     total = sum(int(l.split(",")[1]) for l in a.stdout.splitlines() if l[:1].isdigit())
     assert total == 200
+
+
+# sha256 of `tschur sample` stdout; a change of sampler must keep these bytes
+SAMPLE_SHA256 = {
+    "--m 10 --n 10 --alpha 2/5 --t -1 --samples 1000 --seed 7":
+        "dbfd05f16b31c82fd44cf769673901bbe247ad1114098be2aaadf4d237437e10",
+    "--m 10 --n 10 --alpha 4/5 --t=-1 --samples 2000 --seed 3":
+        "add950c3ef37c478d6d85564ccb994bb435919359c1febae7ac30fccbb8aedff",
+}
+
+
+def test_sample_output_bytes_pinned():
+    for args, digest in SAMPLE_SHA256.items():
+        res = run_cli("sample", *args.split())
+        assert res.returncode == 0
+        assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest, args
 
 
 def test_constants_json():

@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tschur import measure
 from tschur.measure import (
     MeasureParams,
     empirical_cdf,
@@ -21,6 +24,7 @@ from tschur.measure import (
     z_norm,
 )
 from tschur.partitions import Partition, partitions_in_box
+from tschur.rsk import Entry, PMatrix, _lis_keys, biword_from_matrix, rsk
 
 F = Fraction
 
@@ -93,6 +97,48 @@ def test_sample_lambda1_deterministic_and_order_free():
     # child streams: the first k samples agree with a shorter run
     c = sample_lambda1(p, 10, seed=9)
     assert np.array_equal(a[:10], c)
+
+
+def test_sample_lambda1_independent_of_block_size(monkeypatch):
+    p = MeasureParams(4, 3, F(1, 2), F(-1, 2))
+    whole = sample_lambda1(p, 100, seed=4)
+    monkeypatch.setattr(measure, "_BLOCK_ENTRIES", 5 * p.m * p.n)
+    assert np.array_equal(sample_lambda1(p, 100, seed=4), whole)
+
+
+def test_sample_lambda1_follows_law_at_m_ne_n():
+    # S_lambda takes the m marked letters, so a draw is an n x m matrix; an
+    # m x n draw follows the law with m and n exchanged (KS about 0.33 here)
+    p = MeasureParams(3, 30, F(1, 2), F(-1, 2))
+    draws = sample_lambda1(p, 4000, seed=3)
+    dkw = math.sqrt(math.log(2 / 1e-9) / (2 * len(draws)))  # false alarm 1e-9
+    assert ks_distance(draws, p, mode="exact") < dkw
+
+
+@st.composite
+def p_matrix_stacks(draw):
+    """1-4 P-matrices of one random shape; without marks half of the time (t = 0)."""
+    rows, cols, count = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    marked = st.booleans() if draw(st.booleans()) else st.just(False)
+    entry = st.one_of(st.none(), st.builds(Entry, st.integers(1, 3), marked))
+    cells = st.lists(entry, min_size=rows * cols, max_size=rows * cols)
+    return [
+        PMatrix([flat[i * cols:(i + 1) * cols] for i in range(rows)])
+        for flat in draw(st.lists(cells, min_size=count, max_size=count))
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(p_matrix_stacks())
+def test_last_passage_recursion_is_patience_sort_is_rsk_first_row(matrices):
+    sizes = np.array([[[a.abs_entry(i, j) for j in range(a.n)] for i in range(a.m)]
+                      for a in matrices])
+    marks = np.array([[[e is not None and e.marked for e in row] for row in a.entries]
+                      for a in matrices])
+    recursion = measure._first_rows(sizes, marks)
+    for a, lam1 in zip(matrices, recursion):
+        lis = _lis_keys((e.key, e.marked) for _, e in biword_from_matrix(a))
+        assert lam1 == lis == rsk(a)[0].shape().first_row()
 
 
 def test_entry_frequencies_match_pmf():
