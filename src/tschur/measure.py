@@ -230,7 +230,9 @@ def lambda1_cdf_exact(params, h, mode="auto"):
 
     `h` may be an int or a sequence of ints; a sequence returns a list with
     the value of each h, its route chosen per h as for a single call.  All
-    float-routed h share one `bo_cdf` call.
+    float-routed h share one `bo_cdf` call, and all exact-routed h one
+    `toeplitz_det` pass, whose leading minors are the determinants of the
+    smaller h.
     """
     from . import numerics
 
@@ -241,14 +243,15 @@ def lambda1_cdf_exact(params, h, mode="auto"):
     exact_ok = params.exact and _is_exactish(params.t)
     exact = [mode == "exact" or (mode == "auto" and exact_ok and hh <= 6) for hh in hs]
     floats = [hh for hh, ex in zip(hs, exact) if not ex]
+    exacts = [hh for hh, ex in zip(hs, exact) if ex]
     float_vals = iter(numerics.bo_cdf(params, floats) if floats else [])
-    vals = []
-    for hh, ex in zip(hs, exact):
-        if ex:
-            sym = numerics.symbol_phi(params, -(max(hh, 1) - 1), max(hh - 1, 0), exact=True)
-            vals.append(numerics.toeplitz_det(sym, hh) / z_norm(params))
-        else:
-            vals.append(next(float_vals))
+    exact_vals = iter([])
+    if exacts:
+        top = max(exacts)
+        sym = numerics.symbol_phi(params, -(max(top, 1) - 1), max(top - 1, 0), exact=True)
+        z = z_norm(params)
+        exact_vals = iter([det / z for det in numerics.toeplitz_det(sym, exacts)])
+    vals = [next(exact_vals) if ex else next(float_vals) for ex in exact]
     return vals[0] if single else vals
 
 

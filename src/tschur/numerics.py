@@ -5,13 +5,16 @@ y = alpha^n; its Fourier coefficients reduce to the finite sum
 phi_k = sum_j e_j(x;t) e_{j+k}(y), because e_l(y) vanishes beyond l = n.
 det T_h(phi)/Z_t is the lambda_1 CDF (Gessel identity); the same quantity is
 recovered as a finite-section Fredholm determinant of a Hankel product
-(Borodin-Okounkov), which serves as an independent cross-check.
+(Borodin-Okounkov), which serves as an independent cross-check.  The exact
+det T_h is computed in integers by fraction-free Levinson, O(h^2)
+operations, and a grid of h shares one pass: its leading minors.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,11 +28,17 @@ from .symfunc import SpecializedVars, gen_e_coeffs
 
 @dataclass
 class SymbolCoefficients:
-    """Fourier coefficients phi_k for kmin <= k <= kmax."""
+    """Fourier coefficients phi_k for kmin <= k <= kmax.
+
+    `scale` is a nonzero a for which the a^k phi_k have small denominators;
+    `toeplitz_det` conjugates by diag(a^i), which leaves every leading
+    minor unchanged.
+    """
 
     kmin: int
     kmax: int
     coeffs: list  # coeffs[i] = phi_{kmin + i}
+    scale: object = 1
 
     def coeff(self, k):
         if not (self.kmin <= k <= self.kmax):
@@ -59,7 +68,12 @@ def symbol_phi(params, kmin, kmax, exact=None):
             for j in range(max(0, -k), params.n - k + 1):
                 acc += ext.coeff(j) * ey.coeff(j + k)
             coeffs.append(acc)
-        return SymbolCoefficients(kmin, kmax, coeffs)
+        # e_j(x;t) is alpha^j times a polynomial of degree j in t, and e_l(y)
+        # is alpha^l C(n, l), so alpha^k phi_k is a polynomial in alpha^2,
+        # and dividing the scale by den(t) also keeps the powers of den(t)
+        # in the denominators from growing with |k|
+        scale = Fraction(params.alpha) / Fraction(params.t).denominator
+        return SymbolCoefficients(kmin, kmax, coeffs, scale)
     ext = _e_xt_float(params.m, float(params.alpha), float(params.t), params.n - kmin)
     ey = _e_y_float(params.n, float(params.alpha))
     coeffs = []
@@ -124,10 +138,69 @@ def _toeplitz_rows(sym, h):
 
 
 def toeplitz_det(sym, h):
-    """Exact determinant of the h x h Toeplitz slice T_h(phi)."""
-    if h == 0:
-        return Fraction(1)
-    return det_gauss(_toeplitz_rows(sym, h))
+    """Exact determinant of the h x h Toeplitz slice T_h(phi).
+
+    `h` may be an int or a sequence of ints (returns a list with one value
+    per h); every det T_k is a prefix value of one pass at the largest h.
+    Rational symbols take the fraction-free Levinson pass of
+    `_leading_minors`, O(h^2) integer operations; an h beyond a vanishing
+    leading minor, and a symbol with other scalars, take `det_gauss`.
+    """
+    single = np.ndim(h) == 0
+    hs = [h] if single else list(h)
+    if any(hh < 0 for hh in hs):
+        raise ValueError("h must be nonnegative")
+    minors = _leading_minors(sym, max(hs, default=0))
+    vals = [minors[hh] if hh < len(minors) else det_gauss(_toeplitz_rows(sym, hh)) for hh in hs]
+    return vals[0] if single else vals
+
+
+def _exact_div(num, den):
+    q, r = divmod(num, den)
+    if r:
+        raise ArithmeticError(f"inexact division by {den} in the fraction-free Levinson pass")
+    return q
+
+
+def _leading_minors(sym, h):
+    """[det T_0, ..., det T_k] as Fractions, with k = h unless a leading
+    minor below h - 1 vanishes (then k is its order plus one), or [1] when
+    an entry is not rational.
+
+    After the conjugation phi_k -> a^k phi_k (a = `sym.scale`) the entries
+    are cleared to integers c_k = D a^k phi_k.  With d_k = det C_k and the
+    adjugate columns A, B of C_k (C_k A = d_k e_1, C_k B = d_k e_k), the
+    step to order k+1 with g = sum_j c_{k-j} A_j and e = sum_j c_{-1-j} B_j
+    is
+
+        d_{k+1} = (d_k^2 - g e) / d_{k-1}
+        A' = (d_k [A; 0] - g [0; B]) / d_{k-1}
+        B' = (d_k [0; B] - e [A; 0]) / d_{k-1},
+
+    every division exact (Bareiss, Numer. Math. 1969); then
+    det T_k = d_k / D^k.
+    """
+    entries = [sym.coeff(k) for k in range(1 - h, h)]
+    if not all(isinstance(v, (int, Fraction)) for v in entries):
+        return [Fraction(1)]
+    a = Fraction(sym.scale)
+    entries = [Fraction(v) * a ** k for k, v in zip(range(1 - h, h), entries)]
+    den = math.lcm(*(v.denominator for v in entries))
+    c = [v.numerator * (den // v.denominator) for v in entries]  # c[h - 1 + k] = c_k
+    dets = [1, c[h - 1]] if h else [1]
+    A = B = [1]
+    for k in range(1, h):
+        dk, dk1 = dets[k], dets[k - 1]
+        if dk1 == 0:
+            break
+        g = sum(map(operator.mul, reversed(c[h : h + k]), A))
+        e = sum(map(operator.mul, reversed(c[h - 1 - k : h - 1]), B))
+        dets.append(_exact_div(dk * dk - g * e, dk1))
+        if k + 1 < h:
+            A0, B0 = A + [0], [0] + B
+            A = [_exact_div(dk * x - g * y, dk1) for x, y in zip(A0, B0)]
+            B = [_exact_div(dk * y - e * x, dk1) for x, y in zip(A0, B0)]
+    return [Fraction(dk, den ** k) for k, dk in enumerate(dets)]
 
 
 def toeplitz_det_series(sym, h):

@@ -3,7 +3,9 @@
 Everything here is exact: scalars are Fractions (or anything supporting
 field arithmetic), determinants are evaluated by Gaussian elimination, and a
 brute-force marked-tableau enumeration serves as an independent oracle for
-the determinantal S_lambda.
+the determinantal S_lambda.  The e-coefficients of a specialization
+x_1 = ... = x_m = x come from the first-order recurrence of
+((1+xz)/(1+txz))^m, O(nmax) scalar operations.
 """
 
 from __future__ import annotations
@@ -28,33 +30,33 @@ class SpecializedVars:
             raise ValueError("variable count must be nonnegative")
 
 
-def _as_var_list(variables):
-    if isinstance(variables, SpecializedVars):
-        return [variables.value] * variables.count
-    return list(variables)
-
-
 def gen_e_coeffs(variables, t, nmax):
     """Coefficients e_0(x;t), ..., e_nmax(x;t) of prod (1+x_i z)/(1+t x_i z).
 
-    `variables` is a SpecializedVars or an explicit list of scalars.
+    `variables` is a SpecializedVars or an explicit list of scalars.  For a
+    SpecializedVars, f = ((1+xz)/(1+txz))^m solves the first-order equation
+    (1+xz)(1+txz) f' = m x (1-t) f, whose coefficients give the O(nmax)
+    recurrence
+
+        (l+1) e_{l+1} = (m x (1-t) - (1+t) x l) e_l - t x^2 (l-1) e_{l-1}.
     """
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
-    xs = _as_var_list(variables)
+    if isinstance(variables, SpecializedVars):
+        m, x = variables.count, variables.value
+        if isinstance(x, int):
+            x = Fraction(x)  # keep the divisions by l+1 exact
+        a, b, c = m * x * (1 - t), (1 + t) * x, t * x * x
+        e = [1, a]
+        for l in range(1, nmax):
+            e.append(((a - b * l) * e[l] - c * (l - 1) * e[l - 1]) / (l + 1))
+        return TruncatedSeries(e, 0, nmax)
     result = TruncatedSeries([1], 0, nmax)
-    if isinstance(variables, SpecializedVars) and variables.count > 0:
-        x = variables.value
-        base = TruncatedSeries([1, x], 0, nmax)
+    for x in variables:
+        result = result * TruncatedSeries([1, x], 0, nmax)
         if t != 0:
-            base = base * TruncatedSeries([1, t * x], 0, nmax).inverse()
-        result = base ** variables.count
-    else:
-        for x in xs:
-            result = result * TruncatedSeries([1, x], 0, nmax)
-            if t != 0:
-                result = result * TruncatedSeries([1, t * x], 0, nmax).inverse()
-    return result.truncate(nmax)
+            result = result * TruncatedSeries([1, t * x], 0, nmax).inverse()
+    return result
 
 
 def _jacobi_trudi_det(lam, e_coeffs):

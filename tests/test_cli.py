@@ -95,6 +95,22 @@ def test_sample_output_bytes_pinned():
         assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest, args
 
 
+# sha256 of `tschur dist` stdout; the exact route must keep every rational
+DIST_SHA256 = {
+    "--m 10 --n 10 --alpha 4/5 --t=-1 --h-max 40 --mode exact":
+        "8ee6e8121a76213854d22b7316f3952e0da10caa570c5bdb334800b1bd769501",
+    "--m 5 --n 5 --alpha 2/5 --t=-1/2 --h-max 12":
+        "bb978e04b6f40dbf4eb37a3491a8dad4c71f3277157d739c4a3f5b11c1c0f7b8",
+}
+
+
+def test_dist_output_bytes_pinned():
+    for args, digest in DIST_SHA256.items():
+        res = run_cli("dist", *args.split())
+        assert res.returncode == 0
+        assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest, args
+
+
 def test_constants_json():
     res = run_cli("constants", "--alpha", "0.5", "--tau", "1", "--t", "0")
     doc = json.loads(res.stdout)

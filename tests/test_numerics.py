@@ -6,10 +6,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tschur.measure import MeasureParams, lambda1_cdf_exact, z_norm
 from tschur import numerics
-from tschur.series import TruncatedSeries
+from tschur.series import TruncatedSeries, det_gauss
 
 F = Fraction
 
@@ -45,16 +47,73 @@ def test_symbol_constant_term_t0_single():
 
 
 def test_toeplitz_det_cdf_normalizes():
-    # h -> large: det T_h / Z -> 1
-    p = params(2, 2, F(1, 2), F(-1))
-    sym = numerics.symbol_phi(p, -24, 24, exact=True)
-    val = numerics.toeplitz_det(sym, 25) / z_norm(p)
-    assert 0 < 1 - val < 1e-9
+    for p, h, tail in (
+        (params(2, 2, F(1, 2), F(-1)), 25, 1e-9),  # h -> large: det T_h / Z -> 1
+        (params(10, 10, F(4, 5), F(-1)), 20, 1),
+        (params(25, 25, F(1, 2), F(-1, 2)), 20, 1),
+    ):
+        sym = numerics.symbol_phi(p, -(h - 1), h - 1, exact=True)
+        det = numerics.toeplitz_det(sym, h)
+        assert det == det_gauss(numerics._toeplitz_rows(sym, h))
+        assert 0 < 1 - det / z_norm(p) < tail
+
+
+@st.composite
+def toeplitz_symbols(draw):
+    """(symbol, h) with small rational entries; `vanish` zeroes the leading
+    minor of order 1 (phi_0 = 0) or 2 (phi_0^2 = phi_1 phi_-1)."""
+    h = draw(st.integers(0, 12))
+    k = max(h - 1, 1)
+    coeffs = draw(st.lists(st.fractions(max_denominator=6, min_value=-4, max_value=4),
+                           min_size=2 * k + 1, max_size=2 * k + 1))
+    vanish = draw(st.sampled_from([None, 1, 2]))
+    if vanish == 1:
+        coeffs[k] = F(0)
+    elif vanish == 2:
+        coeffs[k - 1] = coeffs[k + 1] = coeffs[k]
+    scale = draw(st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9))
+    return numerics.SymbolCoefficients(-k, k, coeffs, scale), h
+
+
+@settings(max_examples=100, deadline=None)
+@given(toeplitz_symbols())
+def test_toeplitz_det_matches_gauss(case):
+    sym, h = case
+    gauss = [det_gauss(numerics._toeplitz_rows(sym, hh)) for hh in range(h + 1)]
+    assert numerics.toeplitz_det(sym, h) == gauss[h]
+    assert numerics.toeplitz_det(sym, range(h + 1)) == gauss
+
+
+def test_levinson_division_is_checked():
+    assert numerics._exact_div(-12, 4) == -3
+    with pytest.raises(ArithmeticError):
+        numerics._exact_div(7, 2)
+
+
+def test_exact_grid_matches_single_calls(monkeypatch):
+    p = params(5, 5, F(2, 5), F(-1, 2))
+    hs = [9, 0, 4, 12, 4, 1]
+    single = [lambda1_cdf_exact(p, h, mode="exact") for h in hs]
+    auto = [lambda1_cdf_exact(p, h) for h in hs]
+    passes = []
+    minors = numerics._leading_minors
+
+    def counted(sym, h):
+        passes.append(h)
+        return minors(sym, h)
+
+    monkeypatch.setattr(numerics, "_leading_minors", counted)
+    assert lambda1_cdf_exact(p, hs, mode="exact") == single  # bit for bit
+    assert lambda1_cdf_exact(p, hs) == auto
+    assert passes == [12, 4]  # one pass per grid, at its largest exact h
 
 
 def test_toeplitz_h0():
     sym = numerics.symbol_phi(params(), 0, 0, exact=True)
     assert numerics.toeplitz_det(sym, 0) == 1
+    assert numerics.toeplitz_det(sym, []) == []
+    with pytest.raises(ValueError):
+        numerics.toeplitz_det(sym, [0, -1])
 
 
 def test_gessel_identity_degreewise():

@@ -37,10 +37,18 @@ def test_gen_e_t_zero_is_elementary():
 
 
 def test_gen_e_list_matches_specialized():
-    a = F(1, 3)
-    by_list = gen_e_coeffs([a, a], F(-1), 5)
-    by_spec = gen_e_coeffs(SpecializedVars(2, a), F(-1), 5)
-    assert all(by_list.coeff(k) == by_spec.coeff(k) for k in range(6))
+    # the explicit-list product against the first-order recurrence
+    for t in (F(0), F(-1, 2), F(-1), F(-3, 2)):
+        for a in (F(1, 3), F(-5, 7)):
+            for count in range(7):
+                by_list = gen_e_coeffs([a] * count, t, 20)
+                for nmax in range(21):
+                    by_spec = gen_e_coeffs(SpecializedVars(count, a), t, nmax)
+                    assert by_spec.order == nmax
+                    assert by_spec.coeffs == by_list.coeffs[: nmax + 1]
+        by_list = gen_e_coeffs([0.37] * 5, float(t), 20)
+        by_spec = gen_e_coeffs(SpecializedVars(5, 0.37), float(t), 20)
+        assert by_spec.coeffs == pytest.approx([by_list.coeff(k) for k in range(21)], rel=1e-12)
 
 
 def test_gen_e_rejects_negative_order():
