@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import bisect
 
 from .measure import MeasureParams, lambda1_cdf_exact
 from .tracy_widom import tw_f2
@@ -45,10 +44,34 @@ def saddle_point(alpha, tau, t):
     _check_ranges(alpha, tau, t)
     lo, hi = alpha, 1.0 / alpha
     eps = 1e-12 * (hi - lo)
-    return bisect(
+    return _bisect(
         saddle_root_function(alpha, tau, t), lo + eps, hi - eps,
         xtol=1e-15, rtol=8.9e-16,
     )
+
+
+def _bisect(f, xa, xb, xtol, rtol):
+    """Root of f in [xa, xb] by the iteration of `scipy.optimize.bisect`:
+    halve the step dm from xa, keep the midpoint xm as xa while f(xm) f(xa)
+    >= 0, and stop when f(xm) = 0 or |dm| < xtol + rtol |xm|, within
+    scipy's default of 100 steps."""
+    fa, fb = f(xa), f(xb)
+    if fa * fb > 0:
+        raise ValueError("f(a) and f(b) must have different signs")
+    if fa == 0:
+        return xa
+    if fb == 0:
+        return xb
+    dm = xb - xa
+    for _ in range(100):
+        dm *= 0.5
+        xm = xa + dm
+        fm = f(xm)
+        if fm * fa >= 0:
+            xa = xm
+        if fm == 0 or abs(dm) < xtol + rtol * abs(xm):
+            return xm
+    raise RuntimeError("bisection did not converge in 100 iterations")
 
 
 def sigma_prime(z, alpha, tau, t, c):
@@ -159,7 +182,7 @@ def sigma_derivative_check(alpha, tau, t, step=1e-5):
 def scaled_cdf(params, data, s, shift=-1):
     """P(lambda_1 <= h + shift) at h = ceil(c n + g^{-1} n^{1/3} s), by the
     float route of `lambda1_cdf_exact` (the Borodin-Okounkov determinant,
-    in double or multi-precision coefficients).
+    with correctly rounded Hankel entries built in integer arithmetic).
 
     `s` may be a number (returns a float) or a sequence (returns a list with
     one float per s, all from one `lambda1_cdf_exact` call).  The default

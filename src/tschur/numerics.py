@@ -7,7 +7,10 @@ det T_h(phi)/Z_t is the lambda_1 CDF (Gessel identity); the same quantity is
 recovered as a finite-section Fredholm determinant of a Hankel product
 (Borodin-Okounkov), which serves as an independent cross-check.  The exact
 det T_h is computed in integers by fraction-free Levinson, O(h^2)
-operations, and a grid of h shares one pass: its leading minors.
+operations, and a grid of h shares one pass: its leading minors.  The
+Hankel entries psi_k are (-alpha)^k times a polynomial in k of degree n-1
+or m-1 with rational coefficients; they are built in integer arithmetic
+and each is rounded once to a double.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from .series import TruncatedSeries, det_expansion, det_gauss
@@ -51,65 +53,33 @@ def _check_params(params):
         raise ValueError("|t*alpha| must be below 1 for the symbol to converge")
 
 
-def symbol_phi(params, kmin, kmax, exact=None):
-    """Coefficients of phi = E~_{x,t} E_y on the index window [kmin, kmax]."""
+def symbol_phi(params, kmin, kmax, exact=True):
+    """Coefficients of phi = E~_{x,t} E_y on the index window [kmin, kmax].
+
+    The sums run in the scalars of `params`: exact rationals for rational
+    parameters.  `exact=False`, the former double-precision route, is no
+    longer offered.
+    """
     if kmin > 0 or kmax < 0:
         raise ValueError("window must contain 0")
+    if not exact:
+        raise ValueError("symbol_phi has only the exact route")
     _check_params(params)
-    if exact is None:
-        exact = params.exact
-    if exact:
-        jmax = params.n - kmin
-        ext = gen_e_coeffs(SpecializedVars(params.m, params.alpha), params.t, jmax)
-        ey = gen_e_coeffs(SpecializedVars(params.n, params.alpha), 0, params.n)
-        coeffs = []
-        for k in range(kmin, kmax + 1):
-            acc = Fraction(0)
-            for j in range(max(0, -k), params.n - k + 1):
-                acc += ext.coeff(j) * ey.coeff(j + k)
-            coeffs.append(acc)
-        # e_j(x;t) is alpha^j times a polynomial of degree j in t, and e_l(y)
-        # is alpha^l C(n, l), so alpha^k phi_k is a polynomial in alpha^2,
-        # and dividing the scale by den(t) also keeps the powers of den(t)
-        # in the denominators from growing with |k|
-        scale = Fraction(params.alpha) / Fraction(params.t).denominator
-        return SymbolCoefficients(kmin, kmax, coeffs, scale)
-    ext = _e_xt_float(params.m, float(params.alpha), float(params.t), params.n - kmin)
-    ey = _e_y_float(params.n, float(params.alpha))
+    jmax = params.n - kmin
+    ext = gen_e_coeffs(SpecializedVars(params.m, params.alpha), params.t, jmax)
+    ey = gen_e_coeffs(SpecializedVars(params.n, params.alpha), 0, params.n)
     coeffs = []
     for k in range(kmin, kmax + 1):
-        j0 = max(0, -k)
-        j1 = params.n - k
-        if j1 < j0:
-            coeffs.append(0.0)
-        else:
-            coeffs.append(float(np.dot(ext[j0 : j1 + 1], ey[j0 + k : j1 + k + 1])))
-    return SymbolCoefficients(kmin, kmax, coeffs)
-
-
-def _e_y_float(n, alpha):
-    """e_l(alpha^n) = C(n, l) alpha^l for l = 0..n."""
-    out = np.empty(n + 1)
-    out[0] = 1.0
-    for l in range(1, n + 1):
-        out[l] = out[l - 1] * alpha * (n - l + 1) / l
-    return out
-
-
-def _e_xt_float(m, alpha, t, length):
-    """Float coefficients of ((1+alpha z)/(1+t alpha z))^m through degree `length`."""
-    a = np.zeros(length + 1)
-    top = _e_y_float(m, alpha)
-    a[: min(m, length) + 1] = top[: min(m, length) + 1]
-    if t == 0:
-        return a
-    # (1 + t alpha z)^(-m): b_{l+1} = -b_l * t*alpha * (m+l)/(l+1)
-    b = np.empty(length + 1)
-    b[0] = 1.0
-    ta = t * alpha
-    for l in range(length):
-        b[l + 1] = -b[l] * ta * (m + l) / (l + 1)
-    return np.convolve(a, b)[: length + 1]
+        acc = Fraction(0)
+        for j in range(max(0, -k), params.n - k + 1):
+            acc += ext.coeff(j) * ey.coeff(j + k)
+        coeffs.append(acc)
+    # e_j(x;t) is alpha^j times a polynomial of degree j in t, and e_l(y)
+    # is alpha^l C(n, l), so alpha^k phi_k is a polynomial in alpha^2,
+    # and dividing the scale by den(t) also keeps the powers of den(t)
+    # in the denominators from growing with |k|
+    scale = Fraction(params.alpha) / Fraction(params.t).denominator
+    return SymbolCoefficients(kmin, kmax, coeffs, scale)
 
 
 def symbol_phi_alpha_series(m, n, t, kmin, kmax, degree):
@@ -226,202 +196,164 @@ def gessel_lhs_alpha_series(m, n, t, h, degree):
     return TruncatedSeries(coeffs, 0, degree)
 
 
-def hankel_symbols(params, order):
-    """Positive Fourier coefficients of psi1 = E~_{x,t} E_y^{-1} and
-    psi2 = E_{x,t}^{-1} E~_y, through index `order` (floats).
+def _taylor_ode(P, Q, count):
+    """Integers Y_0..Y_{count-1} with y_l = y_0 Y_l / (P_0^l l!), where
+    y = sum_l y_l w^l solves P(w) y' = Q(w) y.
 
-    Both coefficient sequences decay geometrically like alpha^k.
+    P and Q are integer coefficient lists, P_0 != 0.  The coefficients obey
+    P_0 (l+1) y_{l+1} = sum_i Q_i y_{l-i} - sum_{i>=1} P_i (l+1-i) y_{l+1-i};
+    scaled by P_0^l l! every step stays in integers, so no gcd runs.
     """
-    if order < 1:
-        raise ValueError("order >= 1")
-    _check_params(params)
-    m, n = params.m, params.n
-    alpha, t = float(params.alpha), float(params.t)
-    # truncation of the z^{-1}-direction sums: terms fall off at least like
-    # (alpha * max(|t|, alpha))^j
-    ratio = alpha * max(abs(t), alpha)
-    jcut = max(40, int(math.ceil(-46 / math.log(ratio))) if ratio > 0 else 40)
-
-    ext = _e_xt_float(m, alpha, t, jcut)  # e_j(x;t), z^{-j} side of E~_{x,t}
-    ey_inv = np.empty(order + jcut + 1)  # (1 + alpha z)^{-n}
-    ey_inv[0] = 1.0
-    for l in range(order + jcut):
-        ey_inv[l + 1] = -ey_inv[l] * alpha * (n + l) / (l + 1)
-    psi1 = np.array(
-        [float(np.dot(ext[: jcut + 1], ey_inv[k : k + jcut + 1])) for k in range(order + 1)]
-    )
-
-    # E_{x,t}^{-1} = ((1 + t alpha z)/(1 + alpha z))^m
-    d = _e_inverse_float(m, alpha, t, order + n)
-    ey_tilde = _e_y_float(n, alpha)  # finite: coefficients of (1 + alpha z^{-1})^n
-    psi2 = np.array(
-        [float(np.dot(ey_tilde, d[k : k + n + 1])) for k in range(order + 1)]
-    )
-    return psi1, psi2
+    Y = [1]
+    for l in range(count - 1):
+        acc, fall, power = 0, 1, 1  # fall = l!/(l-i)!, power = P_0^i
+        for i in range(min(l + 1, max(len(P), len(Q)))):
+            if i:
+                fall *= l - i + 1
+                if i < len(P):
+                    acc -= P[i] * power * fall * Y[l + 1 - i]
+                power *= P[0]
+            if i < len(Q):
+                acc += Q[i] * power * fall * Y[l - i]
+        Y.append(acc)
+    return Y
 
 
-def _e_inverse_float(m, alpha, t, length):
-    """Coefficients of ((1 + t alpha z)/(1 + alpha z))^m through `length`."""
-    a = np.zeros(length + 1)
-    if t != 0:
-        # C(m, l) (t alpha)^l
-        top = np.empty(min(m, length) + 1)
-        top[0] = 1.0
-        for l in range(min(m, length)):
-            top[l + 1] = top[l] * t * alpha * (m - l) / (l + 1)
-        a[: len(top)] = top
+def _hankel_entries(P, Q, y0, deg, alpha, kmin, kmax):
+    """(-alpha)^k sum_{s<=deg} y_s C(k+deg-s, deg-s) for kmin <= k <= kmax,
+    each correctly rounded to a double, where y solves P y' = Q y, y(0) = y0
+    (alpha and y0 Fractions).
+
+    With Y from `_taylor_ode`, the sum is y0 U_0(k) / (P_0^deg deg!^2), and
+    the integer U_0(k) comes from Horner's rule
+    U_j = Y_{deg-j} P_0^j deg!^2 / ((deg-j)! j!) + (k+j+1) U_{j+1}
+    on the first deg+1 points of the window.  U_0 has degree deg, so the
+    rest follow by additions from the backward differences at the last of
+    them.
+    """
+    Y = _taylor_ode(P, Q, deg + 1)
+    fd = math.factorial(deg)
+    coef, lead = [], 1  # lead = P_0^j deg!/(deg-j)!
+    for j in range(deg + 1):
+        coef.append(Y[deg - j] * lead * (fd // math.factorial(j)))
+        lead *= P[0] * (deg - j)
+
+    def horner(k):
+        u = 0
+        for j in range(deg, -1, -1):
+            u = u * (k + j + 1) + coef[j]
+        return u
+
+    vals = [horner(k) for k in range(kmin, min(kmax, kmin + deg) + 1)]
+    diffs = []  # backward differences at the last value, highest order first
+    row = vals
+    while row:
+        diffs.insert(0, row[-1])
+        row = [y - x for x, y in zip(row, row[1:])]
+    for _ in range(kmin + len(vals), kmax + 1):
+        # the highest difference is constant; each lower one adds the next
+        diffs = list(itertools.accumulate(diffs))
+        vals.append(diffs[-1])
+
+    scale = y0 / (P[0] ** deg * fd * fd)
+    num = scale.numerator * (-alpha.numerator) ** kmin
+    den = scale.denominator * alpha.denominator ** kmin
+    out = []
+    for u in vals:
+        out.append(_rounded(num, u, den))
+        num *= -alpha.numerator
+        den *= alpha.denominator
+    return np.array(out)
+
+
+def _rounded(a, b, d):
+    """a * b / d correctly rounded to a double, for ints a, b and d > 0.
+
+    The leading 96 bits of |a|, |b| and d bound the quotient to a relative
+    width of about 2^-94.  Rounding is monotone, so when both bounds round
+    to the same double (CPython's int / int rounds correctly), so does the
+    quotient; otherwise, as at a tie, the full product is divided.  Below
+    2048 bits in all, the full product is the cheaper route.
+    """
+    if a.bit_length() + b.bit_length() < 2048 or not (a and b):
+        return a * b / d
+    x, y = abs(a), abs(b)
+    cx, cy, cd = (max(v.bit_length() - 96, 0) for v in (x, y, d))
+    xt, yt, dt = x >> cx, y >> cy, d >> cd
+    xh, yh, dh = xt + (cx > 0), yt + (cy > 0), dt + (cd > 0)
+    shift = cx + cy - cd  # x y / d lies in [xt yt, xh yh] 2^shift / [dt, dh]
+    if shift >= 0:
+        lo, hi = (xt * yt << shift) / dh, (xh * yh << shift) / dt
     else:
-        a[0] = 1.0
-    b = np.empty(length + 1)
-    b[0] = 1.0
-    for l in range(length):
-        b[l + 1] = -b[l] * alpha * (m + l) / (l + 1)
-    return np.convolve(a, b)[: length + 1]
+        lo, hi = xt * yt / (dh << -shift), xh * yh / (dt << -shift)
+    if lo != hi:
+        return a * b / d
+    return -lo if (a < 0) != (b < 0) else lo
 
 
-def _lg_binom(a, b):
-    """log10 C(a, b) for possibly huge integer arguments."""
-    if b < 0 or b > a:
-        return -math.inf
-    return (
-        math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
-    ) / math.log(10)
+def _integers(coeffs):
+    """Rational coefficients scaled by their least common denominator."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [int(c * den) for c in coeffs]
 
 
-def _mp_scale_digits(params, kmax):
-    """Decimal digits spanned by the largest intermediate term of the
-    coefficient sums (the cancellation budget)."""
-    m, n = params.m, params.n
-    alpha = abs(float(params.alpha))
-    lga = math.log10(alpha)
-    # |g_l| = alpha^l C(n+l-1, l) peaks near l* = alpha n/(1-alpha)
-    peak = 0.0
-    lstar = int(alpha * n / (1 - alpha)) + 1
-    for l in {lstar, lstar + 1, max(0, lstar - 1), kmax}:
-        peak = max(peak, l * lga + _lg_binom(n + l - 1, l))
-    # the short-factor maxima: (1+alpha)^m for psi1, (1+alpha)^n for psi2,
-    # and the same binomial profile with m in place of n for d_l
-    dpeak = 0.0
-    lstar_m = int(alpha * m / (1 - alpha)) + 1
-    for l in {lstar_m, lstar_m + 1, max(0, lstar_m - 1), kmax}:
-        dpeak = max(dpeak, l * lga + _lg_binom(m + l - 1, l))
-    lg1 = peak + m * math.log10(1 + alpha)
-    lg2 = dpeak + n * math.log10(1 + alpha)
-    return max(lg1, lg2, 0.0)
+def hankel_symbols(params, kmin, kmax):
+    """psi1_k and psi2_k for kmin <= k <= kmax, correctly rounded doubles.
 
+    psi1 = E~_{x,t} E_y^{-1} and psi2 = E_{x,t}^{-1} E~_y.  With
+    w = 1 + alpha z, A = 1 - alpha^2 and B = 1 - t alpha^2,
+    psi1 = f(w) w^{-n} with f = ((w-A)/(w-B))^m and psi2 = g(w) w^{-m} with
+    g = ((1-t)+tw)^m ((w-A)/(w-1))^n; the other poles of psi1 and psi2 add
+    only nonpositive powers of z, so for k >= 1
 
-def hankel_symbols_mp(params, kmin, kmax, extra_dps=45):
-    """psi1_k and psi2_k for kmin <= k <= kmax at extended working precision.
+        psi1_k = (-alpha)^k sum_{r=1..n} f_{n-r} C(k+r-1, r-1)
+        psi2_k = (-alpha)^k sum_{r=1..m} g_{m-r} C(k+r-1, r-1),
 
-    The real-axis recurrences behind `hankel_symbols` cancel catastrophically
-    once the interior binomial growth alpha^l C(n+l-1,l) spans more digits
-    than a double carries; here the same sums are run in mpmath with the
-    precision chosen from that growth, and the (moderate-sized) results are
-    returned as floats.
+    polynomials in k of degree n-1 and m-1 times (-alpha)^k.  Everything is
+    computed exactly from Fraction(alpha) and Fraction(t) (a float is taken
+    at its binary value), and each entry is rounded once.
     """
     if kmin < 1 or kmax < kmin:
         raise ValueError("need 1 <= kmin <= kmax")
     _check_params(params)
     m, n = params.m, params.n
-    dps = int(_mp_scale_digits(params, kmax)) + extra_dps
-    fa, ft = Fraction(params.alpha), Fraction(params.t)
-    with mpmath.workdps(dps):
-        alpha = mpmath.mpf(fa.numerator) / fa.denominator
-        t = mpmath.mpf(ft.numerator) / ft.denominator
-        tiny = mpmath.mpf(10) ** (-dps + 5)
-
-        # e_j(x;t): coefficients of ((1+alpha w)/(1+t alpha w))^m
-        if t == 0:
-            ext = [mpmath.binomial(m, j) * alpha ** j for j in range(m + 1)]
-        else:
-            # the Cauchy product of (1+alpha w)^m with the binomial series
-            # b_l of (1+t alpha w)^{-m}, run until its terms are tiny
-            top = [mpmath.binomial(m, i) * alpha ** i for i in range(m + 1)]
-            b = [mpmath.mpf(1)]
-            ext = []
-            for j in itertools.count():
-                if j:
-                    b.append(-b[-1] * t * alpha * (m + j - 1) / j)
-                acc = mpmath.mpf(0)
-                for i in range(min(j, m) + 1):
-                    acc += top[i] * b[j - i]
-                ext.append(acc)
-                if j > m and abs(acc) < tiny:
-                    break
-
-        # g_l = (-alpha)^l C(n+l-1, l): coefficients of (1+alpha z)^{-n}
-        L1 = kmax + len(ext)
-        g = [mpmath.mpf(1)]
-        for l in range(L1):
-            g.append(-g[-1] * alpha * (n + l) / (l + 1))
-        psi1 = []
-        for k in range(kmin, kmax + 1):
-            acc = mpmath.mpf(0)
-            for j, ej in enumerate(ext):
-                acc += ej * g[k + j]
-            psi1.append(float(acc))
-
-        # d_l: coefficients of ((1+t alpha z)/(1+alpha z))^m, by the
-        # first-order ODE recurrence of the symbol
-        L2 = kmax + n
-        d = [mpmath.mpf(1), m * alpha * (t - 1)]
-        for l in range(1, L2):
-            nxt = ((m * alpha * (t - 1) - (1 + t) * alpha * l) * d[l]
-                   - t * alpha ** 2 * (l - 1) * d[l - 1]) / (l + 1)
-            d.append(nxt)
-        ey = [mpmath.binomial(n, j) * alpha ** j for j in range(n + 1)]
-        psi2 = []
-        for k in range(kmin, kmax + 1):
-            acc = mpmath.mpf(0)
-            for j, cj in enumerate(ey):
-                acc += cj * d[k + j]
-            psi2.append(float(acc))
-    return np.array(psi1), np.array(psi2)
+    alpha, t = Fraction(params.alpha), Fraction(params.t)
+    A, B = 1 - alpha * alpha, 1 - t * alpha * alpha
+    # (w-A)(w-B) f' = m (A-B) f
+    pq = _integers([A * B, -(A + B), 1, m * (A - B)])
+    psi1 = _hankel_entries(pq[:3], pq[3:], (A / B) ** m, n - 1, alpha, kmin, kmax)
+    # ((1-t)+tw)(w-A)(w-1) g' = (m t (w-A)(w-1) + n (A-1) ((1-t)+tw)) g
+    c0, r0, r1 = 1 - t, A, -(A + 1)
+    pq = _integers([c0 * r0, c0 * r1 + t * r0, c0 + t * r1, t,
+                    m * t * r0 + n * (A - 1) * c0, m * t * r1 + n * (A - 1) * t, m * t])
+    psi2 = _hankel_entries(pq[:4], pq[4:], (1 - t) ** m * A ** n, m - 1, alpha, kmin, kmax)
+    return psi1, psi2
 
 
-def bo_cdf(params, h, N=None, warn_tol=None, precise=None):
+def bo_cdf(params, h, N=None, warn_tol=None):
     """P(lambda_1 <= h) by the finite-section Fredholm determinant
     det(I - H1 H2) restricted to indices h..N-1.
 
     `h` may be an int (returns a float) or a sequence of ints (returns a
-    list with one float per h).  A grid builds the double-precision Hankel
-    coefficients once, and the mp ones once over the union of the windows
-    of the h that need them; every section is a slice of these, and each h
-    takes the route a call with that h alone takes, so the values match
-    single calls bit for bit.  `N`, if given, is the section end for every
-    h.
-
-    The sign-diagonal conjugation by J leaves the determinant unchanged, so
-    it is not applied explicitly.  With `precise=None` the Hankel
-    coefficients of an h are recomputed at extended precision whenever the
-    double-precision magnitudes on its window [h+1, 2N-1] betray
-    catastrophic cancellation; True/False force the choice.
+    list with one float per h).  The Hankel entries come from one
+    `hankel_symbols` build over [min h + 1, max 2N - 1]; every section is a
+    slice of it, and the entries do not depend on the window, so the values
+    match single calls bit for bit.  `N`, if given, is the section end for
+    every h.  The sign-diagonal conjugation by J leaves the determinant
+    unchanged, so it is not applied explicitly.
     """
     single = np.ndim(h) == 0
     hs = [h] if single else list(h)
+    if not hs:
+        return []
     section = default_section(params) if N is None else None
     ends = [N if N is not None else hh + section for hh in hs]
     if any(end <= hh for hh, end in zip(hs, ends)):
         raise ValueError("N must exceed h")
-    routes = [precise] * len(hs)
-    # per h: (index of entry 0, psi1, psi2) of the build its route uses
-    coeffs = [None] * len(hs)
-    if precise is not True and hs:
-        psi1, psi2 = hankel_symbols(params, max(2 * end - 1 for end in ends))
-        for i, (hh, end) in enumerate(zip(hs, ends)):
-            coeffs[i] = (0, psi1, psi2)
-            if precise is None:
-                window = slice(hh + 1, 2 * end)
-                peak = np.max(np.abs(psi1[window])) * np.max(np.abs(psi2[window]))
-                routes[i] = bool(not np.isfinite(peak) or peak > 1e6)
-    mp = [i for i, route in enumerate(routes) if route]
-    if mp:
-        kmin = min(hs[i] for i in mp) + 1
-        built = (kmin,) + hankel_symbols_mp(params, kmin, max(2 * ends[i] - 1 for i in mp))
-        for i in mp:
-            coeffs[i] = built
+    base = min(hs) + 1
+    psi1, psi2 = hankel_symbols(params, base, max(2 * end - 1 for end in ends))
     vals = []
-    for hh, end, route, (base, psi1, psi2) in zip(hs, ends, routes, coeffs):
+    for hh, end in zip(hs, ends):
         rows = np.arange(hh, end)
         inner = np.arange(end)
         hank1 = psi1[rows[:, None] + inner[None, :] + 1 - base]
@@ -429,7 +361,7 @@ def bo_cdf(params, h, N=None, warn_tol=None, precise=None):
         block = hank1 @ hank2
         val = float(np.linalg.det(np.eye(end - hh) - block))
         if warn_tol is not None:
-            ref = bo_cdf(params, hh, end + 32, precise=route)
+            ref = bo_cdf(params, hh, end + 32)
             if abs(ref - val) > warn_tol:
                 warnings.warn(
                     f"bo_cdf finite section not converged: |delta| = {abs(ref - val):.3e}",

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
+from tschur import asymptotics
 from tschur.asymptotics import (
     constants,
     convergence_experiment,
@@ -25,6 +27,26 @@ def test_saddle_point_brackets_and_root():
         z0 = saddle_point(a, tau, t)
         assert a < z0 < 1 / a
         assert abs(saddle_root_function(a, tau, t)(z0)) < 1e-8
+
+
+def test_bisection_matches_scipy_bit_for_bit():
+    # 200 (alpha, tau, t) triples, the bracket and tolerances of saddle_point
+    for a in np.linspace(0.05, 0.95, 10):
+        for tau in (0.25, 0.5, 1.0, 2.0, 4.0):
+            for t in (0.0, -0.5, -1.0, -3.0):
+                f = saddle_root_function(a, tau, t)
+                lo, hi = a, 1.0 / a
+                eps = 1e-12 * (hi - lo)
+                args = (f, lo + eps, hi - eps)
+                kw = dict(xtol=1e-15, rtol=8.9e-16)
+                ref = scipy.optimize.bisect(*args, **kw)
+                assert asymptotics._bisect(*args, **kw) == ref
+                assert saddle_point(a, tau, t) == ref
+    with pytest.raises(ValueError):
+        asymptotics._bisect(lambda x: x, 1.0, 2.0, 1e-15, 8.9e-16)
+    with pytest.raises(RuntimeError):
+        asymptotics._bisect(lambda x: 1.0 if x > 0.3 else -1.0, 0.0, 1.0, 0.0, 0.0)
+    assert asymptotics._bisect(lambda x: x, 0.0, 1.0, 1e-15, 8.9e-16) == 0.0
 
 
 def test_sigma_derivatives_vanish_at_saddle():

@@ -111,6 +111,23 @@ def test_dist_output_bytes_pinned():
         assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest, args
 
 
+# sha256 of `tschur converge` stdout at the two configurations of acceptance
+# criterion 9, on the benchmark's s-grid and at its largest n of each
+CONVERGE_SHA256 = {
+    "--alpha 0.5 --t 0 --n-list 64 --s-grid=-4,-3,-2,-1,0,1,2,3":
+        "e80fb9cd0540512028531882d4d01d31550b80680077ed2165e07c406bf51631",
+    "--alpha 0.4 --t=-1 --n-list 50 --s-grid=-4,-3,-2,-1,0,1,2,3":
+        "4a8c1829f5410a919adca88eba4511cb4e8474fe425b03bb29cbf1b1612e5c8b",
+}
+
+
+def test_converge_output_bytes_pinned():
+    for args, digest in CONVERGE_SHA256.items():
+        res = run_cli("converge", *args.split())
+        assert res.returncode == 0
+        assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest, args
+
+
 def test_constants_json():
     res = run_cli("constants", "--alpha", "0.5", "--tau", "1", "--t", "0")
     doc = json.loads(res.stdout)

@@ -4,6 +4,7 @@ Hankel-product (Borodin-Okounkov) route."""
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,15 +26,17 @@ def test_symbol_window_validation():
         numerics.symbol_phi(params(), 1, 3)
     with pytest.raises(ValueError):
         numerics.symbol_phi(params(), -3, -1)
+    with pytest.raises(ValueError):
+        numerics.symbol_phi(params(), -2, 2, exact=False)
     sym = numerics.symbol_phi(params(), -2, 2)
     with pytest.raises(IndexError):
         sym.coeff(3)
 
 
 def test_symbol_exact_vs_float():
-    p = params(3, 3, F(2, 5), F(-1, 2))
-    ex = numerics.symbol_phi(p, -4, 4, exact=True)
-    fl = numerics.symbol_phi(p, -4, 4, exact=False)
+    # the same sums over float scalars: alpha = 0.4 is 2/5 to 2e-17
+    ex = numerics.symbol_phi(params(3, 3, F(2, 5), F(-1, 2)), -4, 4)
+    fl = numerics.symbol_phi(MeasureParams(3, 3, 0.4, -0.5), -4, 4)
     for k in range(-4, 5):
         assert math.isclose(float(ex.coeff(k)), fl.coeff(k), rel_tol=1e-13, abs_tol=1e-15)
 
@@ -147,26 +150,111 @@ def test_hankel_symbols_leading_coefficient():
     # a(1 - ... ) -> -a + a^3 - ... = -a/(1+a^2) + ... check numerically
     a = 0.3
     p = MeasureParams(1, 1, a, 0.0)
-    psi1, psi2 = numerics.hankel_symbols(p, 30)
+    psi1, psi2 = numerics.hankel_symbols(p, 1, 30)
     # psi1_1 = [z^1] (1+a z^{-1}) sum (-a)^k z^k = -a + a*(a^2)... = -a(1 - a^2)
-    assert math.isclose(psi1[1], -a * (1 - a * a), rel_tol=1e-12)
+    assert math.isclose(psi1[0], -a * (1 - a * a), rel_tol=1e-12)
     # psi2 is the reflected symbol with x and y swapped: same value here
-    assert math.isclose(psi2[1], psi1[1], rel_tol=1e-12)
+    assert math.isclose(psi2[0], psi1[0], rel_tol=1e-12)
 
 
-def test_hankel_symbols_mp_matches_float_when_safe():
-    p = MeasureParams(5, 5, F(2, 5), F(-1, 2))
-    f1, f2 = numerics.hankel_symbols(p, 80)
-    m1, m2 = numerics.hankel_symbols_mp(p, 1, 80)
-    np.testing.assert_allclose(f1[1:], m1, rtol=1e-12, atol=1e-290)
-    np.testing.assert_allclose(f2[1:], m2, rtol=1e-12, atol=1e-290)
+def _mp_series(c, e, count):
+    """[w^0..w^(count-1)] of (1 + c w)^e."""
+    out = [mpmath.mpf(1)]
+    for i in range(count - 1):
+        out.append(out[-1] * c * (e - i) / (i + 1))
+    return out
 
 
-def test_hankel_symbols_mp_validation():
+def _mp_product(*factors):
+    out = factors[0]
+    for s in factors[1:]:
+        out = [mpmath.fsum(out[i] * s[l - i] for i in range(l + 1)) for l in range(len(out))]
+    return out
+
+
+def hankel_oracle(p, ks, dps):
+    """psi1_k and psi2_k at `dps` digits: the Taylor coefficients of f and g
+    as Cauchy products of binomial series, then the sums
+    (-alpha)^k sum_r y_{d-r} C(k+r-1, r-1) term by term."""
+    m, n = p.m, p.n
+    with mpmath.workdps(dps):
+        a, t = (mpmath.mpf(F(x).numerator) / F(x).denominator for x in (p.alpha, p.t))
+        A, B = 1 - a * a, 1 - t * a * a
+        # f = ((w-A)/(w-B))^m and g = ((1-t)+tw)^m ((w-A)/(w-1))^n
+        f = _mp_product(_mp_series(-1 / A, m, n), _mp_series(-1 / B, -m, n))
+        g = _mp_product(_mp_series(t / (1 - t), m, m), _mp_series(-1 / A, n, m),
+                        _mp_series(-1, -n, m))
+        out = []
+        for y, y0, d in ((f, (A / B) ** m, n), (g, (1 - t) ** m * A ** n, m)):
+            vals = []
+            for k in ks:
+                acc, binom = mpmath.mpf(0), mpmath.mpf(1)  # binom = C(k+r-1, r-1)
+                for r in range(1, d + 1):
+                    acc += y[d - r] * binom
+                    binom = binom * (k + r) / r
+                vals.append(float((-a) ** k * y0 * acc))
+            out.append(np.array(vals))
+    return out
+
+
+@pytest.mark.parametrize(
+    "p, ks, dps",
+    [
+        (MeasureParams(7, 5, F(2, 5), F(0)), range(1, 41), 60),
+        (MeasureParams(5, 7, F(2, 5), F(-3, 2)), range(1, 41), 60),
+        (MeasureParams(12, 9, F(3, 5), F(-1, 2)), range(5, 61), 60),
+        (MeasureParams(9, 12, F(3, 5), F(-1)), range(5, 61), 60),
+        # a binary float alpha is taken at its exact value
+        (MeasureParams(20, 30, 0.4, F(-1, 2)), range(30, 121), 60),
+        # criterion 9's window at n = 200: the sums there cancel about 90
+        # digits, so the oracle runs 60 digits beyond that
+        (MeasureParams(200, 200, 0.4, -1.0), [*range(324, 834, 10), 833], 150),
+    ],
+)
+def test_hankel_symbols_match_mpmath_oracle(p, ks, dps):
+    psi = numerics.hankel_symbols(p, ks[0], ks[-1])
+    ref = hankel_oracle(p, ks, dps)
+    # the oracle's own digits: 40 more change no bit
+    for got, want, check in zip(psi, ref, hankel_oracle(p, ks, dps + 40)):
+        assert np.array_equal(want, check)
+        assert np.array_equal(got[np.asarray(ks) - ks[0]], want)  # bit for bit
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-(2 ** 3000), 2 ** 3000), st.integers(-(2 ** 2000), 2 ** 2000),
+       st.integers(-1070, 1020), st.integers(1, 2 ** 80))
+def test_rounded_quotient_is_int_division(a, b, log2_quotient, low):
+    # operands below 2048 bits in all take the exact division, larger ones
+    # the bounds; d puts the quotient near 2^log2_quotient, inside the
+    # range of doubles
+    prod = abs(a * b)
+    d = low + (prod >> log2_quotient if log2_quotient >= 0 else prod << -log2_quotient)
+    want = a * b / d
+    got = numerics._rounded(a, b, d)
+    assert got == want and math.copysign(1, got) == math.copysign(1, want)
+
+
+@pytest.mark.parametrize("scale", [60, 1100, 3000])
+def test_rounded_quotient_at_and_near_ties(scale):
+    # (2^53 + 1)/2 and (2^53 + 3)/2 lie halfway between two doubles: the
+    # bounds straddle them, and the exact division rounds each to even
+    for odd, even in ((1, 0), (3, 2)):
+        tie = numerics._rounded(3 * (2 ** 53 + odd) << scale, -(2 ** scale), 3 << 2 * scale + 1)
+        assert tie == -(2.0 ** 52 + even)
+    # just above the first tie and just below the second, closer than the
+    # bounds resolve: they round away from the even neighbour
+    above = numerics._rounded(((2 ** 53 + 1) << scale) + 1, 1, 1 << scale + 1)
+    below = numerics._rounded((2 ** 53 + 3) << scale, 1, (1 << scale + 1) + 1)
+    assert above == below == 2.0 ** 52 + 1
+
+
+def test_hankel_symbols_validation():
     with pytest.raises(ValueError):
-        numerics.hankel_symbols_mp(params(), 0, 5)
+        numerics.hankel_symbols(params(), 0, 5)
     with pytest.raises(ValueError):
-        numerics.hankel_symbols_mp(params(), 5, 4)
+        numerics.hankel_symbols(params(), 5, 4)
+    with pytest.raises(ValueError):
+        numerics.hankel_symbols(MeasureParams(1, 1, F(1, 2), F(-3)), 1, 5)
 
 
 def test_bo_cdf_agrees_with_exact_toeplitz():
@@ -185,44 +273,46 @@ def test_bo_cdf_tail_and_degenerate_limits():
         assert numerics.bo_cdf(tiny, h) >= float((1 - tiny.rho) ** 4) - 1e-12
 
 
-def test_bo_cdf_precise_matches_float_at_moderate_size():
-    p = MeasureParams(10, 10, F(2, 5), F(-1))
-    hs = (8, 12, 16)
-    for h in hs:
-        lo = numerics.bo_cdf(p, h, precise=False)
-        hi = numerics.bo_cdf(p, h, precise=True)
-        assert abs(lo - hi) < 1e-9
-    for precise in (False, True):
-        assert numerics.bo_cdf(p, hs, precise=precise) == [
-            numerics.bo_cdf(p, h, precise=precise) for h in hs
-        ]
-
-
 @pytest.mark.parametrize(
-    "p, hs, mp_window",
+    "p, hs",
     [
-        # every h on the mp route
-        (MeasureParams(60, 60, F(1, 2), F(0)), range(100, 141, 4), (101, 405)),
-        # h <= 14 on the mp route, the rest on the float route
-        (MeasureParams(25, 25, F(1, 2), F(-1, 2)), range(7, 59), (8, 147)),
-        # h = 60, 62 alone would work at one more mp digit than the union
-        (MeasureParams(44, 44, F(17, 20), F(0)), range(60, 100, 2), (61, 319)),
-        # t != 0: the e_j(x;t) series runs past 2N-1 of every h before it decays
-        (MeasureParams(40, 40, F(4, 5), F(-1, 2)), range(40, 57, 4), (41, 231)),
+        (MeasureParams(60, 60, F(1, 2), F(0)), range(100, 141, 4)),
+        (MeasureParams(25, 25, F(1, 2), F(-1, 2)), range(7, 59)),
+        (MeasureParams(44, 44, F(17, 20), F(0)), range(60, 100, 2)),
+        (MeasureParams(40, 40, F(4, 5), F(-1, 2)), range(40, 57, 4)),
+        (MeasureParams(25, 25, 0.4, -1.0), [44, 24, 32, 24]),
     ],
 )
-def test_bo_cdf_grid_matches_single_calls(monkeypatch, p, hs, mp_window):
+def test_bo_cdf_grid_matches_single_calls(monkeypatch, p, hs):
     single = [numerics.bo_cdf(p, h) for h in hs]
     windows = []
-    build = numerics.hankel_symbols_mp
+    build = numerics.hankel_symbols
 
     def counted(params, kmin, kmax):
         windows.append((kmin, kmax))
         return build(params, kmin, kmax)
 
-    monkeypatch.setattr(numerics, "hankel_symbols_mp", counted)
+    monkeypatch.setattr(numerics, "hankel_symbols", counted)
     assert numerics.bo_cdf(p, hs) == single  # bit for bit
-    assert windows == [mp_window]  # one mp build for the whole grid
+    end = max(hs) + numerics.default_section(p)
+    assert windows == [(min(hs) + 1, 2 * end - 1)]  # one build for the whole grid
+
+
+@pytest.mark.parametrize(
+    "p, hs",
+    [
+        (MeasureParams(25, 25, F(1, 2), F(-1, 2)), [54]),
+        (MeasureParams(25, 25, F(1, 2), F(-1)), [58]),
+        # the converge points of (0.4, 1, -1) at n = 25
+        (MeasureParams(25, 25, 0.4, -1.0), range(24, 45)),
+    ],
+)
+def test_bo_cdf_matches_exact_at_moderate_n(p, hs):
+    # the reference takes alpha = 2/5 where p has the double 0.4: 2e-17 apart
+    exact = lambda1_cdf_exact(MeasureParams(p.m, p.n, F(p.alpha).limit_denominator(10), F(p.t)),
+                              hs, mode="exact")
+    for h, val, ref in zip(hs, numerics.bo_cdf(p, hs), exact):
+        assert abs(val - float(ref)) < 1e-10, h
 
 
 def test_bo_cdf_large_size_is_stable():
@@ -247,8 +337,8 @@ def toeplitz_slogdet(params, h):
     """(sign, log|det T_h(phi)|) of the float Toeplitz matrix, by LU."""
     if h == 0:
         return 1.0, 0.0
-    sym = numerics.symbol_phi(params, -(h - 1), h - 1, exact=False)
-    mat = np.array([[sym.coeff(i - j) for j in range(h)] for i in range(h)])
+    sym = numerics.symbol_phi(params, -(h - 1), h - 1)
+    mat = np.array([[float(sym.coeff(i - j)) for j in range(h)] for i in range(h)])
     sign, logdet = np.linalg.slogdet(mat)
     if not np.isfinite(logdet):
         raise ArithmeticError("Toeplitz determinant is singular in float mode")
