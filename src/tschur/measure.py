@@ -248,7 +248,7 @@ def lambda1_cdf_exact(params, h, mode="auto"):
     exact_vals = iter([])
     if exacts:
         top = max(exacts)
-        sym = numerics.symbol_phi(params, -(max(top, 1) - 1), max(top - 1, 0), exact=True)
+        sym = numerics.symbol_phi(params, -(max(top, 1) - 1), max(top - 1, 0))
         z = z_norm(params)
         exact_vals = iter([det / z for det in numerics.toeplitz_det(sym, exacts)])
     vals = [next(exact_vals) if ex else next(float_vals) for ex in exact]
