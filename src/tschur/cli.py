@@ -211,66 +211,20 @@ def cmd_converge(args):
     return 0
 
 
-def _report(label, ok, failures, start):
-    """One PASS/FAIL line with the seconds the suite took since `start`."""
-    print(f"{'PASS' if ok else 'FAIL'}  {label}  ({time.perf_counter() - start:.2f} s)")
-    if not ok:
-        failures.append(label)
-
-
 def cmd_verify(args):
-    """Exact-identity suites: Cauchy, Gessel, Borodin-Okounkov, RSK."""
-    import itertools
+    """Acceptance criteria 3-6, or all ten at `--level full`, with times."""
+    from . import acceptance
 
-    from . import numerics
-    from .rsk import Entry, inverse_rsk
-    from .symfunc import cauchy_check
-
-    full = args.level == "full"
-    failures = []
-
-    start = time.perf_counter()
-    degree = 8 if not full else 10
-    ok = True
-    for m in (1, 2, 3):
-        for n in (1, 2, 3):
-            for t in (Fraction(0), Fraction(-1, 2), Fraction(-1)):
-                good, _ = cauchy_check(m, n, t, degree)
-                ok = ok and good
-    _report(f"cauchy identity degreewise to alpha^{degree}", ok, failures, start)
-
-    start = time.perf_counter()
-    degree = 16 if not full else 24
-    ok = True
-    for (m, n) in ((2, 2), (3, 2)) if not full else ((2, 2), (3, 2), (3, 3)):
-        for t in (Fraction(0), Fraction(-1)):
-            for h in range(4):
-                lhs = numerics.gessel_lhs_alpha_series(m, n, t, h, degree)
-                sym = numerics.symbol_phi_alpha_series(m, n, t, -(max(h, 1) - 1), max(h - 1, 0), degree)
-                rhs = numerics.toeplitz_det_series(sym, h)
-                ok = ok and (lhs == rhs)
-    _report(f"gessel identity degreewise to alpha^{degree}", ok, failures, start)
-
-    start = time.perf_counter()
-    p = MeasureParams(5, 5, Fraction(2, 5), Fraction(-1, 2))
-    hs = range(3, 11)
-    exact = lambda1_cdf_exact(p, hs, mode="exact")
-    ok = all(abs(v - float(e)) < 1e-8 for v, e in zip(numerics.bo_cdf(p, hs), exact))
-    _report("borodin-okounkov vs exact toeplitz cdf", ok, failures, start)
-
-    start = time.perf_counter()
-    letters = [None] + [Entry(v, mk) for v in (1, 2) for mk in (False, True)]
-    ok = True
-    for picks in itertools.product(letters, repeat=4):
-        a = PMatrix([[picks[0], picks[1]], [picks[2], picks[3]]])
-        s, u = rsk(a)
-        w = biword_from_matrix(a)
-        ok = ok and longest_increasing(w) == s.shape().first_row()
-        ok = ok and inverse_rsk(s, u, 2, 2) == a
-    _report("rsk round-trip and lis exhaustive 2x2", ok, failures, start)
-
+    nums = acceptance.QUICK if args.level == "quick" else range(1, 11)
+    failures = 0
+    for num in nums:
+        start = time.perf_counter()
+        ok, label = getattr(acceptance, f"criterion_{num:02d}")()
+        seconds = time.perf_counter() - start
+        print(f"{'PASS' if ok else 'FAIL'}  criterion {num}: {label}  ({seconds:.2f} s)")
+        failures += not ok
     if failures:
-        print(f"{len(failures)} suite(s) failed")
+        print(f"{failures} suite(s) failed")
         return 1
     print("all suites passed")
     return 0
@@ -330,7 +284,7 @@ def main(argv=None):
     p.add_argument("--out", help="prefix for _rows.csv and _summary.csv")
     p.set_defaults(func=cmd_converge)
 
-    p = sub.add_parser("verify", help="run the exact-identity suites")
+    p = sub.add_parser("verify", help="run the acceptance criteria")
     p.add_argument("--level", choices=("quick", "full"), default="quick")
     p.set_defaults(func=cmd_verify)
 

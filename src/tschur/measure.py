@@ -14,9 +14,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .partitions import partitions_in_box
+from .partitions import partitions_in_box  # noqa: F401 (looked up by perfbench's tests)
 from .rsk import Entry, PMatrix
-from .symfunc import SpecializedVars, _jacobi_trudi_det, gen_e_coeffs, schur_S_t, schur_s
+from .symfunc import SpecializedVars, schur_S_t, schur_s, weights_by_size
 
 _TAIL_EPS = 1e-15
 _BLOCK_ENTRIES = 1 << 18  # matrix entries drawn at once by `sample_lambda1`
@@ -241,6 +241,9 @@ def lambda1_cdf_exact(params, h, mode="auto"):
     if any(hh < 0 for hh in hs):
         raise ValueError("h must be nonnegative")
     exact_ok = params.exact and _is_exactish(params.t)
+    if mode == "exact" and not exact_ok:
+        raise ValueError("the exact route (Toeplitz determinant over the rationals) "
+                         "needs rational alpha and t; pass Fractions")
     exact = [mode == "exact" or (mode == "auto" and exact_ok and hh <= 6) for hh in hs]
     floats = [hh for hh, ex in zip(hs, exact) if not ex]
     exacts = [hh for hh, ex in zip(hs, exact) if ex]
@@ -256,22 +259,17 @@ def lambda1_cdf_exact(params, h, mode="auto"):
 
 
 def lambda1_cdf_exact_oracle(params, h):
-    """Gessel-sum oracle: direct sum of partition probabilities over the
-    finite box {lambda : lambda_1 <= h, rows <= n}.  Exact; slow.
+    """Gessel-sum oracle: P(lambda_1 <= h) as the direct sum of the partition
+    weights over the finite box {lambda : lambda_1 <= h, rows <= n}.  Exact;
+    slow.
 
-    Each term is `partition_prob(lam, params)`, with both e-series built once
-    at the box's largest truncation |lambda| + lambda_1 + 1 = h n + h + 1.
+    The weights come from `weights_by_size` at alpha = 1, by size up to h n;
+    a partition of size k weighs rho^k times as much at alpha.
     """
-    nmax = h * params.n + h + 1
-    e_y = gen_e_coeffs(SpecializedVars(params.n, params.alpha), 0, nmax)
-    e_xt = gen_e_coeffs(SpecializedVars(params.m, params.alpha), params.t, nmax)
-    z = z_norm(params)
-    total = Fraction(0)
-    for lam in partitions_in_box(h, params.n):
-        s = _jacobi_trudi_det(lam, e_y)
-        if s != 0:
-            total += _jacobi_trudi_det(lam, e_xt) * s / z
-    return total
+    total = 0
+    for wk in reversed(weights_by_size(params.m, params.n, params.t, h * params.n, max_part=h)):
+        total = total * params.rho + wk
+    return total / z_norm(params)
 
 
 def lambda1_cdf_mc(params, h, samples, seed):

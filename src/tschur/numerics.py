@@ -18,14 +18,13 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .series import TruncatedSeries, det_expansion, det_gauss
-from .symfunc import SpecializedVars, gen_e_coeffs
+from .series import TruncatedSeries, det_expansion, det_gauss, first_mismatch
+from .symfunc import SpecializedVars, gen_e_coeffs, weights_by_size
 
 
 @dataclass
@@ -112,9 +111,9 @@ def toeplitz_det(sym, h):
 
     `h` may be an int or a sequence of ints (returns a list with one value
     per h); every det T_k is a prefix value of one pass at the largest h.
-    Rational symbols take the fraction-free Levinson pass of
-    `_leading_minors`, O(h^2) integer operations; an h beyond a vanishing
-    leading minor, and a symbol with other scalars, take `det_gauss`.
+    The symbol must be rational: the fraction-free Levinson pass of
+    `_leading_minors` takes O(h^2) integer operations, and an h beyond a
+    vanishing leading minor takes `det_gauss`.
     """
     single = np.ndim(h) == 0
     hs = [h] if single else list(h)
@@ -134,8 +133,8 @@ def _exact_div(num, den):
 
 def _leading_minors(sym, h):
     """[det T_0, ..., det T_k] as Fractions, with k = h unless a leading
-    minor below h - 1 vanishes (then k is its order plus one), or [1] when
-    an entry is not rational.
+    minor below h - 1 vanishes (then k is its order plus one).  Every entry
+    must be rational.
 
     After the conjugation phi_k -> a^k phi_k (a = `sym.scale`) the entries
     are cleared to integers c_k = D a^k phi_k.  With d_k = det C_k and the
@@ -152,7 +151,7 @@ def _leading_minors(sym, h):
     """
     entries = [sym.coeff(k) for k in range(1 - h, h)]
     if not all(isinstance(v, (int, Fraction)) for v in entries):
-        return [Fraction(1)]
+        raise ValueError("the exact Toeplitz determinant needs rational symbol coefficients")
     a = Fraction(sym.scale)
     entries = [Fraction(v) * a ** k for k, v in zip(range(1 - h, h), entries)]
     den = math.lcm(*(v.denominator for v in entries))
@@ -175,25 +174,25 @@ def _leading_minors(sym, h):
 
 def toeplitz_det_series(sym, h):
     """Toeplitz determinant with truncated-series entries (degreewise work)."""
-    if h == 0:
-        return Fraction(1)
     return det_expansion(_toeplitz_rows(sym, h))
 
 
 def gessel_lhs_alpha_series(m, n, t, h, degree):
-    """sum over {lambda_1 <= h} of S_lambda s_lambda as an exact alpha-series."""
-    from .partitions import partitions
-    from .symfunc import schur_S_t, schur_s
+    """Gessel's partition sum of S_lambda(alpha^m;t) s_lambda(alpha^n) over
+    lambda_1 <= h as an exact alpha-series through `degree`:
+    `symfunc.weights_by_size` placed on the even degrees."""
+    w = weights_by_size(m, n, t, degree // 2, max_part=h)
+    return TruncatedSeries([c for wk in w for c in (wk, Fraction(0))], 0, degree)
 
-    one = Fraction(1)
-    coeffs = [Fraction(0)] * (degree + 1)
-    for lam in partitions(degree // 2, max_part=h, max_rows=n):
-        s = schur_s(lam, SpecializedVars(n, one))
-        if s == 0:
-            continue
-        val = schur_S_t(lam, SpecializedVars(m, one), t) * s
-        coeffs[2 * lam.size()] += val
-    return TruncatedSeries(coeffs, 0, degree)
+
+def gessel_check(m, n, t, h, degree):
+    """Degreewise verification of Gessel's identity through alpha^degree:
+    the partition sum over lambda_1 <= h equals det T_h of the alpha-series
+    symbol.  Returns (ok, mismatch) as `symfunc.cauchy_check` does."""
+    lhs = gessel_lhs_alpha_series(m, n, t, h, degree)
+    sym = symbol_phi_alpha_series(m, n, t, -(max(h, 1) - 1), max(h - 1, 0), degree)
+    mismatch = first_mismatch(lhs, toeplitz_det_series(sym, h), degree)
+    return mismatch is None, mismatch
 
 
 def _taylor_ode(P, Q, count):
@@ -333,7 +332,7 @@ def hankel_symbols(params, kmin, kmax):
     return psi1, psi2
 
 
-def bo_cdf(params, h, N=None, warn_tol=None):
+def bo_cdf(params, h, N=None):
     """P(lambda_1 <= h) by the finite-section Fredholm determinant
     det(I - H1 H2) restricted to indices h..N-1.
 
@@ -363,13 +362,6 @@ def bo_cdf(params, h, N=None, warn_tol=None):
         hank2 = psi2[inner[:, None] + rows[None, :] + 1 - base]
         block = hank1 @ hank2
         val = float(np.linalg.det(np.eye(end - hh) - block))
-        if warn_tol is not None:
-            ref = bo_cdf(params, hh, end + 32)
-            if abs(ref - val) > warn_tol:
-                warnings.warn(
-                    f"bo_cdf finite section not converged: |delta| = {abs(ref - val):.3e}",
-                    RuntimeWarning,
-                )
         vals.append(min(max(val, 0.0), 1.0))
     return vals[0] if single else vals
 

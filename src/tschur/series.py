@@ -152,6 +152,17 @@ class TruncatedSeries:
         return f"TruncatedSeries({body} + O(X^{self.order + 1}))"
 
 
+def first_mismatch(lhs, rhs, degree):
+    """The first (k, lhs_k, rhs_k), k <= degree, at which two series differ,
+    or None; a scalar stands for a constant series."""
+    lhs, rhs = (s if isinstance(s, TruncatedSeries) else TruncatedSeries.constant(s, degree)
+                for s in (lhs, rhs))
+    for k in range(degree + 1):
+        if lhs.coeff(k) != rhs.coeff(k):
+            return k, lhs.coeff(k), rhs.coeff(k)
+    return None
+
+
 def det_gauss(rows):
     """Determinant of a square matrix over a field, by Gaussian elimination.
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .partitions import Partition, partitions
+from .partitions import partitions
 from .rsk import Entry, MarkedTableau, validate_marked_tableau
-from .series import TruncatedSeries, det_gauss
+from .series import TruncatedSeries, det_gauss, first_mismatch
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,6 @@ def _jacobi_trudi_det(lam, e_coeffs):
     """det(e_{lambda'_i - i + j}) over the conjugate shape; empty det is 1."""
     conj = lam.conjugate()
     size = len(conj)
-    if size == 0:
-        return Fraction(1)
 
     def e(k):
         if k < 0:
@@ -77,9 +75,7 @@ def _jacobi_trudi_det(lam, e_coeffs):
 
 def schur_s(lam, variables, nmax=None):
     """Classical Schur function s_lambda via the dual Jacobi-Trudi identity."""
-    if nmax is None:
-        nmax = lam.size() + lam.first_row() + 1
-    return _jacobi_trudi_det(lam, gen_e_coeffs(variables, 0, nmax))
+    return schur_S_t(lam, variables, 0, nmax)
 
 
 def schur_S_t(lam, variables, t, nmax=None):
@@ -145,24 +141,24 @@ def schur_S_t_oracle(lam, m, t, alpha):
     return weight * alpha ** lam.size()
 
 
-def cauchy_lhs_series(m, n, t, degree):
-    """Sum over partitions of S_lambda(alpha^m;t) s_lambda(alpha^n) as an alpha-series.
+def weights_by_size(m, n, t, size, max_part=None):
+    """w[k] = sum of S_lambda(1^m;t) s_lambda(1^n) over |lambda| = k, for
+    k = 0..size, over partitions with at most n rows (s_lambda(1^n) vanishes
+    beyond) and lambda_1 <= max_part.
 
-    Each summand is homogeneous of alpha-degree 2|lambda|, so the truncated sum
-    over |lambda| <= degree/2 is exact through `degree`.
+    At x = alpha^m, y = alpha^n a summand is alpha^(2k) times its value at
+    alpha = 1, so this one partition sum is the left side of the Cauchy
+    identity, Gessel's sum over lambda_1 <= h, and the exact law of
+    lambda_1.  Both e-series are built once, long enough for every
+    Jacobi-Trudi entry.
     """
-    one = Fraction(1)
-    ones_m = SpecializedVars(m, one)
-    ones_n = SpecializedVars(n, one)
-    coeffs = [Fraction(0)] * (degree + 1)
-    for lam in partitions(degree // 2, max_rows=n):
-        s = schur_s(lam, ones_n)
-        if s == 0:
-            continue
-        val = schur_S_t(lam, ones_m, t) * s
-        if val != 0:
-            coeffs[2 * lam.size()] += val
-    return TruncatedSeries(coeffs, 0, degree)
+    nmax = size + (size if max_part is None else max_part) + 1
+    e_xt = gen_e_coeffs(SpecializedVars(m, 1), t, nmax)
+    e_y = gen_e_coeffs(SpecializedVars(n, 1), 0, nmax)
+    w = [Fraction(0)] * (size + 1)
+    for lam in partitions(size, max_part=max_part, max_rows=n):
+        w[lam.size()] += _jacobi_trudi_det(lam, e_xt) * _jacobi_trudi_det(lam, e_y)
+    return w
 
 
 def cauchy_rhs_series(m, n, t, degree):
@@ -173,14 +169,13 @@ def cauchy_rhs_series(m, n, t, degree):
 
 
 def cauchy_check(m, n, t, degree):
-    """Degreewise verification of the Cauchy identity; returns (ok, mismatch).
-
-    `mismatch` is None on success, else the first (exponent, lhs, rhs) triple
-    that disagrees.
+    """Degreewise verification of the Cauchy identity
+    sum_lambda S_lambda(alpha^m;t) s_lambda(alpha^n) = ((1-t alpha^2)/(1-alpha^2))^(mn)
+    through alpha^degree; the left side is `weights_by_size` placed on the
+    even degrees.  Returns (ok, mismatch): `mismatch` is None on success,
+    else the first (exponent, lhs, rhs) triple that disagrees.
     """
-    lhs = cauchy_lhs_series(m, n, t, degree)
-    rhs = cauchy_rhs_series(m, n, t, degree)
-    for k in range(degree + 1):
-        if lhs.coeff(k) != rhs.coeff(k):
-            return False, (k, lhs.coeff(k), rhs.coeff(k))
-    return True, None
+    w = weights_by_size(m, n, t, degree // 2)
+    lhs = TruncatedSeries([c for wk in w for c in (wk, Fraction(0))], 0, degree)
+    mismatch = first_mismatch(lhs, cauchy_rhs_series(m, n, t, degree), degree)
+    return mismatch is None, mismatch

@@ -1,181 +1,48 @@
-"""Acceptance gate: the ten end-to-end criteria, one test (and one printed
-pass/fail line) each, at their stated tolerances."""
+"""Acceptance gate: one test and one PASS/FAIL line per `tschur.acceptance` criterion."""
 
-import itertools
-import math
-import subprocess
-import sys
-from fractions import Fraction
-
-import numpy as np
-
-from tschur import numerics
-from tschur.asymptotics import constants, convergence_experiment, t0_closed_forms
-from tschur.measure import MeasureParams, ks_distance, lambda1_cdf_exact, sample_lambda1
-from tschur.partitions import partitions
-from tschur.rsk import Entry, PMatrix, biword_from_matrix, inverse_rsk, longest_increasing, rsk
-from tschur.symfunc import SpecializedVars, cauchy_check, schur_S_t, schur_S_t_oracle
-from tschur.tracy_widom import tw_f2, tw_f2_mean
-
-F = Fraction
-T_VALUES = (F(0), F(-1, 2), F(-1))
+from tschur import acceptance
 
 
-def _report(num, label, ok):
+def _report(num, ok, label):
     print(f"{'PASS' if ok else 'FAIL'}  criterion {num}: {label}", flush=True)
     assert ok, f"criterion {num} failed: {label}"
 
 
 def test_criterion_01_worked_example_reproduction():
-    res = subprocess.run(
-        [sys.executable, "-m", "tschur.cli", "rsk", "--matrix", "1' 0 2\n2 1 2'\n1' 1' 0"],
-        capture_output=True,
-        text=True,
-        timeout=10,
-    )
-    out = res.stdout
-    ok = (
-        res.returncode == 0
-        and "1 1 1 2 2 2 2 2 3 3" in out
-        and "1' 3 3 1 1 2 3' 3 1' 2'" in out
-        and "1' 1 1 2' 3' 3\n  1' 2\n  3 3" in out
-        and "1 1 1 2 2 2\n  2 2\n  3 3" in out
-        and "shape: (6, 2, 2)" in out
-        and "lambda_1 = 6   lis(w) = 6" in out
-    )
-    _report(1, "worked-example biword, tableaux, shape and lis reproduced", ok)
+    _report(1, *acceptance.criterion_01())
 
 
 def test_criterion_02_tableau_determinant_equivalence():
-    a = F(1, 2)
-    ok = True
-    for lam in partitions(6):
-        for m in (1, 2, 3):
-            for t in T_VALUES:
-                det_val = schur_S_t(lam, SpecializedVars(m, a), t)
-                if det_val != schur_S_t_oracle(lam, m, t, a):
-                    ok = False
-    _report(2, "determinant route equals marked-tableau sum (|lambda|<=6, m<=3)", ok)
+    _report(2, *acceptance.criterion_02())
 
 
 def test_criterion_03_cauchy_identity():
-    ok = True
-    for m in (1, 2, 3):
-        for n in (1, 2, 3):
-            for t in T_VALUES:
-                good, _ = cauchy_check(m, n, t, 8)
-                ok = ok and good
-    _report(3, "Cauchy identity degreewise to alpha^8 on {1,2,3}^2", ok)
+    _report(3, *acceptance.criterion_03())
 
 
 def test_criterion_04_gessel_identity():
-    degree = 40
-    ok = True
-    for m in (1, 2, 3):
-        for n in (1, 2, 3):
-            for t in T_VALUES:
-                for h in range(5):
-                    lhs = numerics.gessel_lhs_alpha_series(m, n, t, h, degree)
-                    sym = numerics.symbol_phi_alpha_series(
-                        m, n, t, -(max(h, 1) - 1), max(h - 1, 0), degree
-                    )
-                    rhs = numerics.toeplitz_det_series(sym, h)
-                    if lhs != rhs:
-                        ok = False
-    _report(4, "Gessel partition sum equals Toeplitz det to alpha^40 (h<=4)", ok)
+    _report(4, *acceptance.criterion_04())
 
 
 def test_criterion_05_rsk_bijection_sweeps():
-    ok = True
-    letters = [None] + [Entry(v, mk) for v in (1, 2) for mk in (False, True)]
-    count = 0
-    for picks in itertools.product(letters, repeat=4):
-        a = PMatrix([[picks[0], picks[1]], [picks[2], picks[3]]])
-        count += 1
-        s, u = rsk(a)
-        if inverse_rsk(s, u, 2, 2) != a:
-            ok = False
-        if longest_increasing(biword_from_matrix(a)) != s.shape().first_row():
-            ok = False
-    ok = ok and count == 625
-    rng = np.random.default_rng(123)
-    for _ in range(10_000):
-        vals = rng.integers(0, 4, size=9)
-        marks = rng.integers(0, 2, size=9)
-        rows = [
-            [
-                Entry(int(vals[3 * i + j]), bool(marks[3 * i + j]))
-                if vals[3 * i + j]
-                else None
-                for j in range(3)
-            ]
-            for i in range(3)
-        ]
-        a = PMatrix(rows)
-        s, u = rsk(a)
-        if inverse_rsk(s, u, 3, 3) != a:
-            ok = False
-        if longest_increasing(biword_from_matrix(a)) != s.shape().first_row():
-            ok = False
-    _report(5, "RSK round-trip + lis theorem, 625 exhaustive + 10^4 random", ok)
+    _report(5, *acceptance.criterion_05())
 
 
 def test_criterion_06_borodin_okounkov_crosscheck():
-    p = MeasureParams(5, 5, F(2, 5), F(-1, 2))
-    worst = 0.0
-    for h in range(3, 11):
-        exact = float(lambda1_cdf_exact(p, h, mode="exact"))
-        worst = max(worst, abs(numerics.bo_cdf(p, h, N=h + 60) - exact))
-    _report(6, f"|bo_cdf - exact Toeplitz CDF| = {worst:.2e} < 1e-8", worst < 1e-8)
+    _report(6, *acceptance.criterion_06())
 
 
 def test_criterion_07_t0_closed_forms():
-    worst = 0.0
-    for a in (0.2, 0.35, 0.5, 0.65, 0.8):
-        for tau in (0.5, 0.8, 1.0, 1.5, 2.0):
-            z0c, c1c, c2c = t0_closed_forms(a, tau)
-            data = constants(a, tau, 0.0)
-            worst = max(worst, abs(data.z0 - z0c), abs(data.c1 - c1c), abs(data.c2 - c2c))
-    special = abs(constants(0.5, 1.0, 0.0).c1 - 2.0)
-    ok = worst < 1e-12 and special < 1e-12
-    _report(7, f"t=0 closed forms on 5x5 grid, max err {worst:.2e} < 1e-12", ok)
+    _report(7, *acceptance.criterion_07())
 
 
 def test_criterion_08_tracy_widom_stability_and_mean():
-    worst = 0.0
-    for s in np.linspace(-6.0, 4.0, 11):
-        base = tw_f2(float(s))
-        refined = tw_f2(float(s), check=True)
-        worst = max(worst, abs(base - refined))
-    mean = tw_f2_mean()
-    ok = worst < 1e-8 and abs(mean - (-1.7711)) < 1e-3
-    _report(
-        8,
-        f"F2 doubling-stable ({worst:.1e} < 1e-8), mean {mean:.5f} within 1e-3 of -1.7711",
-        ok,
-    )
+    _report(8, *acceptance.criterion_08())
 
 
 def test_criterion_09_convergence_to_tracy_widom():
-    s_grid = [-4.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0]
-    ok = True
-    report = []
-    for (a, tau, t) in ((0.5, 1.0, 0.0), (0.4, 1.0, -1.0)):
-        _, summary = convergence_experiment(a, tau, t, [20, 200], s_grid)
-        d20 = summary[0]["sup_distance"]
-        d200 = summary[1]["sup_distance"]
-        ok = ok and d200 < 0.1 and d200 < d20
-        report.append(f"t={t}: {d20:.3f} -> {d200:.3f}")
-    _report(9, "scaled CDF sup-distance to F2 (" + "; ".join(report) + ")", ok)
+    _report(9, *acceptance.criterion_09())
 
 
 def test_criterion_10_monte_carlo_consistency():
-    ok = True
-    report = []
-    for t in (F(0), F(-1)):
-        p = MeasureParams(10, 10, F(2, 5), t)
-        draws = sample_lambda1(p, 100_000, seed=20240814)
-        ks = ks_distance(draws, p)
-        ok = ok and ks < 0.01
-        report.append(f"t={t}: KS={ks:.4f}")
-    _report(10, "10^5-sample KS vs exact CDF (" + "; ".join(report) + ") < 0.01", ok)
+    _report(10, *acceptance.criterion_10())

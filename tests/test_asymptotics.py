@@ -1,7 +1,5 @@
 """Saddle-point constants, Tracy-Widom F2, and the convergence experiment."""
 
-import math
-
 import numpy as np
 import pytest
 import scipy.optimize
@@ -16,7 +14,6 @@ from tschur.asymptotics import (
     sigma_derivative_check,
     sigma_prime,
     sigma_second,
-    t0_closed_forms,
 )
 from tschur.measure import MeasureParams
 from tschur.tracy_widom import tw_f2, tw_f2_mean
@@ -62,16 +59,6 @@ def test_sigma_derivative_finite_differences():
     assert res["second"] < 1e-8
     assert res["third"] < 1e-8
     assert res["first_at_saddle"] < 1e-10
-
-
-def test_t0_closed_forms_match_numeric():
-    for a in (0.2, 0.35, 0.5, 0.65, 0.8):
-        for tau in (0.5, 0.8, 1.0, 1.5, 2.0):
-            z0c, c1c, c2c = t0_closed_forms(a, tau)
-            data = constants(a, tau, 0.0)
-            assert abs(data.z0 - z0c) < 1e-12
-            assert abs(data.c1 - c1c) < 1e-12
-            assert abs(data.c2 - c2c) < 1e-12
 
 
 def test_special_point_c1():

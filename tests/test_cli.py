@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 PAPER_MATRIX = "1' 0 2\n2 1 2'\n1' 1' 0"
 REPO = Path(__file__).resolve().parents[1]
 
@@ -161,6 +163,36 @@ def test_verify_quick_passes():
     assert res.returncode == 0, res.stdout + res.stderr
     assert "all suites passed" in res.stdout
     assert "FAIL" not in res.stdout
+
+
+def test_verify_reports_a_failing_criterion(monkeypatch, capsys):
+    from tschur import acceptance, cli
+
+    for num in acceptance.QUICK:
+        monkeypatch.setattr(acceptance, f"criterion_{num:02d}", lambda: (True, "stub"))
+    monkeypatch.setattr(acceptance, "criterion_04", lambda: (False, "forced"))
+    assert cli.main(["verify"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  criterion 4: forced" in out
+    assert out.count("PASS") == len(acceptance.QUICK) - 1
+    assert out.splitlines()[-1] == "1 suite(s) failed"
+
+
+# The benchmark times these cold commands as its set-up (`CLI_ARGS` in
+# perfbench/workloads.py); neither needs the modules listed with it.
+@pytest.mark.parametrize("args, unneeded", [
+    ("dist --m 2 --n 2 --alpha 1/2 --t=-1/2 --h-max 4",
+     "scipy mpmath tschur.asymptotics tschur.tracy_widom tschur.airy tschur.acceptance"),
+    ("converge --alpha 1/2 --tau 1 --t 0 --n-list 20 --s-grid=0",
+     "mpmath scipy.optimize scipy.linalg tschur.acceptance"),
+], ids=["dist", "converge"])
+def test_cold_command_imports(args, unneeded):
+    res = subprocess.run([sys.executable, "-X", "importtime", "-m", "tschur.cli", *args.split()],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    loaded = {line.rsplit("|", 1)[-1].strip() for line in res.stderr.splitlines()}
+    assert "tschur.measure" in loaded  # the parse sees the package's own modules
+    assert not loaded & set(unneeded.split())
 
 
 def test_usage_error_exit_code():

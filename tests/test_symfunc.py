@@ -9,13 +9,13 @@ from tschur.partitions import Partition, partitions
 from tschur.symfunc import (
     SpecializedVars,
     cauchy_check,
-    cauchy_lhs_series,
     cauchy_rhs_series,
     enumerate_marked_tableaux,
     gen_e_coeffs,
     schur_S_t,
     schur_S_t_oracle,
     schur_s,
+    weights_by_size,
 )
 
 F = Fraction
@@ -130,6 +130,5 @@ def test_cauchy_rhs_closed_form():
 
 
 def test_cauchy_lhs_leading_terms():
-    lhs = cauchy_lhs_series(1, 1, F(0), 4)
     # single-variable Schur measure: sum over lambda = (k): alpha^{2k}
-    assert [lhs.coeff(k) for k in range(5)] == [1, 0, 1, 0, 1]
+    assert weights_by_size(1, 1, F(0), 2) == [1, 1, 1]
