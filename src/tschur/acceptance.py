@@ -3,6 +3,8 @@
 Each `criterion_NN()` runs one check and returns (ok, label).  The
 acceptance tests and `tschur verify` call these same functions:
 `tschur verify` runs `QUICK` by default and all ten at `--level full`.
+Criteria 7-9 import the asymptotic modules themselves, so that `QUICK`
+loads no scipy.
 """
 
 import itertools
@@ -13,12 +15,10 @@ from fractions import Fraction as F
 import numpy as np
 
 from . import numerics
-from .asymptotics import constants, convergence_experiment, t0_closed_forms
 from .measure import MeasureParams, ks_distance, lambda1_cdf_exact, sample_lambda1
 from .partitions import partitions
 from .rsk import Entry, PMatrix, biword_from_matrix, inverse_rsk, longest_increasing, rsk
 from .symfunc import SpecializedVars, cauchy_check, schur_S_t, schur_S_t_oracle
-from .tracy_widom import tw_f2, tw_f2_mean
 
 T_VALUES = (F(0), F(-1, 2), F(-1))
 QUICK = (3, 4, 5, 6)  # the exact identities, RSK and the float route: a few seconds
@@ -123,6 +123,8 @@ def criterion_06():
 
 
 def criterion_07():
+    from .asymptotics import constants, t0_closed_forms
+
     worst = 0.0
     for a in (0.2, 0.35, 0.5, 0.65, 0.8):
         for tau in (0.5, 0.8, 1.0, 1.5, 2.0):
@@ -135,6 +137,8 @@ def criterion_07():
 
 
 def criterion_08():
+    from .tracy_widom import tw_f2, tw_f2_mean
+
     worst = 0.0
     for s in np.linspace(-6.0, 4.0, 11):
         base = tw_f2(float(s))
@@ -149,6 +153,8 @@ def criterion_08():
 
 
 def criterion_09():
+    from .asymptotics import convergence_experiment
+
     s_grid = [-4.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0]
     ok = True
     report = []

@@ -3,9 +3,10 @@
 Everything here is exact: scalars are Fractions (or anything supporting
 field arithmetic), determinants are evaluated by Gaussian elimination, and a
 brute-force marked-tableau enumeration serves as an independent oracle for
-the determinantal S_lambda.  The e-coefficients of a specialization
-x_1 = ... = x_m = x come from the first-order recurrence of
-((1+xz)/(1+txz))^m, O(nmax) scalar operations.
+the determinantal S_lambda.  The e- and h-coefficients of a specialization
+x_1 = ... = x_m = x come from the first-order recurrences of
+((1+xz)/(1+txz))^m and ((1-txz)/(1-xz))^m, O(nmax) scalar operations, and
+each Jacobi-Trudi determinant is taken in the smaller of its two forms.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ class SpecializedVars:
 
 
 def gen_e_coeffs(variables, t, nmax):
-    """Coefficients e_0(x;t), ..., e_nmax(x;t) of prod (1+x_i z)/(1+t x_i z).
+    """Coefficients e_0(x;t), ..., e_nmax(x;t) of E(z) = prod (1+x_i z)/(1+t x_i z).
 
     `variables` is a SpecializedVars or an explicit list of scalars.  For a
     SpecializedVars, f = ((1+xz)/(1+txz))^m solves the first-order equation
@@ -43,14 +44,7 @@ def gen_e_coeffs(variables, t, nmax):
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
     if isinstance(variables, SpecializedVars):
-        m, x = variables.count, variables.value
-        if isinstance(x, int):
-            x = Fraction(x)  # keep the divisions by l+1 exact
-        a, b, c = m * x * (1 - t), (1 + t) * x, t * x * x
-        e = [1, a]
-        for l in range(1, nmax):
-            e.append(((a - b * l) * e[l] - c * (l - 1) * e[l - 1]) / (l + 1))
-        return TruncatedSeries(e, 0, nmax)
+        return _specialized_coeffs(variables, t, nmax, 1)
     result = TruncatedSeries([1], 0, nmax)
     for x in variables:
         result = result * TruncatedSeries([1, x], 0, nmax)
@@ -59,30 +53,71 @@ def gen_e_coeffs(variables, t, nmax):
     return result
 
 
-def _jacobi_trudi_det(lam, e_coeffs):
-    """det(e_{lambda'_i - i + j}) over the conjugate shape; empty det is 1."""
-    conj = lam.conjugate()
-    size = len(conj)
+def gen_h_coeffs(variables, t, nmax):
+    """Coefficients h_0(x;t), ..., h_nmax(x;t) of H(z) = 1/E(-z) =
+    prod (1-t x_i z)/(1-x_i z), the entries of the h-form Jacobi-Trudi
+    determinant.  For a SpecializedVars, (1-xz)(1-txz) H' = m x (1-t) H gives
+    `gen_e_coeffs`'s recurrence with the sign of the (1+t) x l term flipped.
+    """
+    if nmax < 0:
+        raise ValueError("nmax must be nonnegative")
+    if isinstance(variables, SpecializedVars):
+        return _specialized_coeffs(variables, t, nmax, -1)
+    e = gen_e_coeffs(variables, t, nmax)
+    return TruncatedSeries([(-1) ** k * c for k, c in enumerate(e.coeffs)], 0, nmax).inverse()
 
-    def e(k):
-        if k < 0:
-            return Fraction(0)
-        return e_coeffs.coeff(k)
 
-    rows = [[e(conj[i] - i + j) for j in range(size)] for i in range(size)]
-    return det_gauss(rows)
+def _specialized_coeffs(variables, t, nmax, sign):
+    """The recurrence of E (sign 1) or H (sign -1) at x_1 = ... = x_m = x."""
+    m, x = variables.count, variables.value
+    if isinstance(x, int):
+        x = Fraction(x)  # keep the divisions by l+1 exact
+    a, b, c = m * x * (1 - t), sign * (1 + t) * x, t * x * x
+    e = [1, a]
+    for l in range(1, nmax):
+        e.append(((a - b * l) * e[l] - c * (l - 1) * e[l - 1]) / (l + 1))
+    return TruncatedSeries(e, 0, nmax)
+
+
+def _jt_minor(shape, coeffs):
+    """det(c_{shape_i - i + j}) with c_k = 0 for k < 0; the empty det is 1."""
+    size = len(shape)
+
+    def c(k):
+        return coeffs.coeff(k) if k >= 0 else Fraction(0)
+
+    return det_gauss([[c(shape[i] - i + j) for j in range(size)] for i in range(size)])
+
+
+def _jacobi_trudi_det(lam, e_coeffs, h_coeffs):
+    """The Jacobi-Trudi determinant in its smaller form: det(h_{lambda_i-i+j}),
+    l(lambda) x l(lambda), when lambda has fewer rows than columns, else the
+    dual det(e_{lambda'_i-i+j}), lambda_1 x lambda_1.  The two agree because
+    H(z) E(-z) = 1."""
+    if len(lam) < lam.first_row():
+        return _jt_minor(lam.parts, h_coeffs)
+    return _jt_minor(lam.conjugate().parts, e_coeffs)
 
 
 def schur_s(lam, variables, nmax=None):
-    """Classical Schur function s_lambda via the dual Jacobi-Trudi identity."""
+    """Classical Schur function s_lambda via the Jacobi-Trudi identity."""
     return schur_S_t(lam, variables, 0, nmax)
 
 
 def schur_S_t(lam, variables, t, nmax=None):
-    """Generalized Schur function S_lambda(x;t) = det(e_{lambda'_i-i+j}(x;t))."""
+    """Generalized Schur function S_lambda(x;t) = det(e_{lambda'_i-i+j}(x;t))
+    = det(h_{lambda_i-i+j}(x;t)).
+
+    At t = 0 it vanishes on fewer variables than lambda has rows, and that
+    zero is returned as such: in floats the h-form would leave rounding noise
+    of either sign where the dual form has a zero row."""
+    count = variables.count if isinstance(variables, SpecializedVars) else len(variables)
+    if t == 0 and len(lam) > count:
+        return Fraction(0)
     if nmax is None:
         nmax = lam.size() + lam.first_row() + 1
-    return _jacobi_trudi_det(lam, gen_e_coeffs(variables, t, nmax))
+    return _jacobi_trudi_det(lam, gen_e_coeffs(variables, t, nmax),
+                             gen_h_coeffs(variables, t, nmax))
 
 
 def enumerate_marked_tableaux(lam, m):
@@ -149,15 +184,16 @@ def weights_by_size(m, n, t, size, max_part=None):
     At x = alpha^m, y = alpha^n a summand is alpha^(2k) times its value at
     alpha = 1, so this one partition sum is the left side of the Cauchy
     identity, Gessel's sum over lambda_1 <= h, and the exact law of
-    lambda_1.  Both e-series are built once, long enough for every
-    Jacobi-Trudi entry.
+    lambda_1.  The e- and h-series of both specializations are built once,
+    long enough for every Jacobi-Trudi entry.
     """
     nmax = size + (size if max_part is None else max_part) + 1
-    e_xt = gen_e_coeffs(SpecializedVars(m, 1), t, nmax)
-    e_y = gen_e_coeffs(SpecializedVars(n, 1), 0, nmax)
+    x, y = SpecializedVars(m, 1), SpecializedVars(n, 1)
+    series_xt = gen_e_coeffs(x, t, nmax), gen_h_coeffs(x, t, nmax)
+    series_y = gen_e_coeffs(y, 0, nmax), gen_h_coeffs(y, 0, nmax)
     w = [Fraction(0)] * (size + 1)
     for lam in partitions(size, max_part=max_part, max_rows=n):
-        w[lam.size()] += _jacobi_trudi_det(lam, e_xt) * _jacobi_trudi_det(lam, e_y)
+        w[lam.size()] += _jacobi_trudi_det(lam, *series_xt) * _jacobi_trudi_det(lam, *series_y)
     return w
 
 

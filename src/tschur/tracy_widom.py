@@ -1,10 +1,15 @@
 """Tracy-Widom F2 via Nystrom discretization of the Airy-kernel Fredholm
 determinant on (s, infinity), with the closed-form kernel (Bornemann, "On the
-numerical evaluation of Fredholm determinants", Math. Comp. 2010)."""
+numerical evaluation of Fredholm determinants", Math. Comp. 2010).
+
+The quadrature rule is built once per order: the exponential map's Jacobian
+does not depend on s, so a value of F2 only shifts the cached nodes, builds
+the kernel and takes one determinant."""
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,12 +25,20 @@ class NonConvergedError(ArithmeticError):
     """Raised when quadrature refinement fails to stabilize the determinant."""
 
 
-def _exp_map(s, u):
-    """Exponential change of variables [0,1] -> [s, s+CUT] clustering at s."""
+@lru_cache(maxsize=None)
+def _rule(order):
+    """Gauss-Legendre rule of `order` nodes under the exponential change of
+    variables [0,1] -> [0, CUT] clustering at 0: the offsets x - s of the
+    nodes and the weights sqrt(w dx), both read-only."""
+    u, w = np.polynomial.legendre.leggauss(order)
+    u = 0.5 * (u + 1.0)
+    w = 0.5 * w
     scale = CUT / math.expm1(KAPPA)
-    x = s + scale * np.expm1(KAPPA * u)
-    dx = scale * KAPPA * np.exp(KAPPA * u)
-    return x, dx
+    offsets = scale * np.expm1(KAPPA * u)
+    sq = np.sqrt(w * (scale * KAPPA * np.exp(KAPPA * u)))
+    offsets.flags.writeable = False
+    sq.flags.writeable = False
+    return offsets, sq
 
 
 def _kernel_matrix(xs):
@@ -40,12 +53,8 @@ def _kernel_matrix(xs):
 
 
 def _f2_once(s, order):
-    u, w = np.polynomial.legendre.leggauss(order)
-    u = 0.5 * (u + 1.0)
-    w = 0.5 * w
-    xs, dx = _exp_map(s, u)
-    K = _kernel_matrix(xs)
-    sq = np.sqrt(w * dx)
+    offsets, sq = _rule(order)
+    K = _kernel_matrix(s + offsets)
     M = np.eye(order) - sq[:, None] * K * sq[None, :]
     return float(np.linalg.det(M))
 
@@ -54,7 +63,8 @@ def tw_f2(s, check=False):
     """F2(s) = det(I - K_Airy) on L^2(s, infinity).
 
     With `check` the quadrature order is doubled and the refined value is
-    returned; a discrepancy above TOL raises NonConvergedError.
+    returned; a discrepancy above TOL raises NonConvergedError, and so does
+    a determinant outside [-TOL, 1 + TOL].
     """
     if not -10.0 <= s <= 10.0:
         raise ValueError("s outside supported range [-10, 10]")
@@ -66,7 +76,9 @@ def tw_f2(s, check=False):
                 f"F2({s}) changed by {abs(refined - val):.3e} under refinement"
             )
         val = refined
-    return min(max(val, 0.0), 1.0)
+    if not -TOL <= val <= 1.0 + TOL:
+        raise NonConvergedError(f"F2({s}) = {val!r} lies outside [0, 1] by more than {TOL}")
+    return val
 
 
 def tw_f2_mean(order=120):

@@ -1,10 +1,13 @@
 """Saddle-point constants, Tracy-Widom F2, and the convergence experiment."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.optimize
 
-from tschur import asymptotics
+from tschur import asymptotics, tracy_widom
+from tschur.airy import airy_ai, airy_ai_prime
 from tschur.asymptotics import (
     constants,
     convergence_experiment,
@@ -16,7 +19,7 @@ from tschur.asymptotics import (
     sigma_second,
 )
 from tschur.measure import MeasureParams
-from tschur.tracy_widom import tw_f2, tw_f2_mean
+from tschur.tracy_widom import NonConvergedError, tw_f2, tw_f2_mean
 
 
 def test_saddle_point_brackets_and_root():
@@ -100,6 +103,46 @@ def test_tw_f2_refinement_stability():
 def test_tw_f2_range_check():
     with pytest.raises(ValueError):
         tw_f2(-11.0)
+
+
+def test_tw_f2_raises_outside_unit_interval(monkeypatch):
+    monkeypatch.setattr(tracy_widom, "_f2_once", lambda s, order: 1.0 + 1e-6)
+    with pytest.raises(NonConvergedError):
+        tw_f2(0.0)
+    with pytest.raises(NonConvergedError):
+        tw_f2(0.0, check=True)
+
+
+def _nystrom_from_scratch(s, order):
+    """A fresh Gauss-Legendre rule on every call, as before the rule was cached."""
+    u, w = np.polynomial.legendre.leggauss(order)
+    u = 0.5 * (u + 1.0)
+    w = 0.5 * w
+    scale = tracy_widom.CUT / math.expm1(tracy_widom.KAPPA)
+    xs = s + scale * np.expm1(tracy_widom.KAPPA * u)
+    dx = scale * tracy_widom.KAPPA * np.exp(tracy_widom.KAPPA * u)
+    ai, aip = airy_ai(xs), airy_ai_prime(xs)
+    diff = xs[:, None] - xs[None, :]
+    np.fill_diagonal(diff, 1.0)
+    K = (ai[:, None] * aip[None, :] - aip[:, None] * ai[None, :]) / diff
+    np.fill_diagonal(K, aip ** 2 - xs * ai ** 2)
+    sq = np.sqrt(w * dx)
+    return float(np.linalg.det(np.eye(order) - sq[:, None] * K * sq[None, :]))
+
+
+def test_tw_f2_equals_uncached_nystrom_bit_for_bit():
+    for s in np.linspace(-10.0, 10.0, 41):
+        s = float(s)
+        assert tw_f2(s) == _nystrom_from_scratch(s, tracy_widom.ORDER)
+        assert tw_f2(s, check=True) == _nystrom_from_scratch(s, 2 * tracy_widom.ORDER)
+
+
+def test_cached_rule_is_read_only():
+    offsets, sq = tracy_widom._rule(tracy_widom.ORDER)
+    for arr in (offsets, sq):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert tracy_widom._rule(tracy_widom.ORDER)[0] is offsets
 
 
 def test_tw_mean():

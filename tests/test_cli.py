@@ -130,6 +130,23 @@ def test_converge_output_bytes_pinned():
         assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest, args
 
 
+# sha256 of `tschur tw` stdout on the README's grid and the benchmark's
+# (-8 to 4 in steps of 1/2); caching the quadrature rule must keep every bit
+TW_SHA256 = {
+    "--s-grid=-4,-2,0,2":
+        "902ff31f6b8f563271ab6cf20e05c1f8f09c97c42c120f322a2d783e65e4cf00",
+    "--s-grid=" + ",".join(str(-8 + 0.5 * i) for i in range(25)):
+        "1195698f7be68693337c6f9ea364e209398dd5cc190072cbd01b9a630b64da9c",
+}
+
+
+def test_tw_output_bytes_pinned():
+    for args, digest in TW_SHA256.items():
+        res = run_cli("tw", args)
+        assert res.returncode == 0
+        assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest, args
+
+
 def test_constants_json():
     res = run_cli("constants", "--alpha", "0.5", "--tau", "1", "--t", "0")
     doc = json.loads(res.stdout)
@@ -178,14 +195,16 @@ def test_verify_reports_a_failing_criterion(monkeypatch, capsys):
     assert out.splitlines()[-1] == "1 suite(s) failed"
 
 
-# The benchmark times these cold commands as its set-up (`CLI_ARGS` in
-# perfbench/workloads.py); neither needs the modules listed with it.
+# The benchmark times the first two cold commands as its set-up (`CLI_ARGS`
+# in perfbench/workloads.py); `verify` runs criteria 3-6, which need no F2.
+# None needs the modules listed with it.
 @pytest.mark.parametrize("args, unneeded", [
     ("dist --m 2 --n 2 --alpha 1/2 --t=-1/2 --h-max 4",
      "scipy mpmath tschur.asymptotics tschur.tracy_widom tschur.airy tschur.acceptance"),
     ("converge --alpha 1/2 --tau 1 --t 0 --n-list 20 --s-grid=0",
      "mpmath scipy.optimize scipy.linalg tschur.acceptance"),
-], ids=["dist", "converge"])
+    ("verify", "scipy tschur.airy tschur.tracy_widom tschur.asymptotics"),
+], ids=["dist", "converge", "verify"])
 def test_cold_command_imports(args, unneeded):
     res = subprocess.run([sys.executable, "-X", "importtime", "-m", "tschur.cli", *args.split()],
                          capture_output=True, text=True)

@@ -8,10 +8,12 @@ import pytest
 from tschur.partitions import Partition, partitions
 from tschur.symfunc import (
     SpecializedVars,
+    _jt_minor,
     cauchy_check,
     cauchy_rhs_series,
     enumerate_marked_tableaux,
     gen_e_coeffs,
+    gen_h_coeffs,
     schur_S_t,
     schur_S_t_oracle,
     schur_s,
@@ -54,6 +56,39 @@ def test_gen_e_list_matches_specialized():
 def test_gen_e_rejects_negative_order():
     with pytest.raises(ValueError):
         gen_e_coeffs(SpecializedVars(1, F(1, 2)), 0, -1)
+    with pytest.raises(ValueError):
+        gen_h_coeffs(SpecializedVars(1, F(1, 2)), 0, -1)
+
+
+def test_gen_h_is_inverse_of_e_at_minus_z():
+    # H(z) E(-z) = 1, for the recurrence and for an explicit list
+    for t in (F(0), F(-1, 2), F(-1)):
+        for variables in (SpecializedVars(3, F(2, 5)), [F(1, 3), F(-2, 7), F(1, 2)]):
+            e = gen_e_coeffs(variables, t, 12)
+            h = gen_h_coeffs(variables, t, 12)
+            e_minus = [(-1) ** k * e.coeff(k) for k in range(13)]
+            for k in range(13):
+                assert sum(h.coeff(i) * e_minus[k - i] for i in range(k + 1)) == (k == 0)
+        by_list = gen_h_coeffs([F(2, 5)] * 3, t, 12)
+        assert gen_h_coeffs(SpecializedVars(3, F(2, 5)), t, 12).coeffs == by_list.coeffs
+
+
+def test_jacobi_trudi_h_form_equals_dual_e_form():
+    # det(h_{lambda_i-i+j}) = det(e_{lambda'_i-i+j}) on every partition of size <= 8
+    for m in (1, 2, 3):
+        for t in (F(0), F(-1, 2), F(-1)):
+            variables = SpecializedVars(m, F(1, 2))
+            e = gen_e_coeffs(variables, t, 17)
+            h = gen_h_coeffs(variables, t, 17)
+            for lam in partitions(8):
+                assert _jt_minor(lam.parts, h) == _jt_minor(lam.conjugate().parts, e), (m, t, lam)
+
+
+def test_schur_vanishes_beyond_its_variables_in_floats():
+    # more rows than variables: an exact zero, not the h-form's rounding noise
+    for lam in (Partition([4, 3, 3]), Partition([5, 3, 3, 1])):
+        assert schur_s(lam, SpecializedVars(2, 0.5)) == 0
+        assert schur_S_t(lam, SpecializedVars(2, 0.5), 0.0) == 0
 
 
 def test_schur_s_known_values():
