@@ -1,21 +1,19 @@
-"""Write BENCH_<pr>.json: the benchmark's workloads, untraced and traced, the
-cold `tschur verify` and the Tier-1 wall time, with the git sha they ran at.
+"""Write BENCH_<pr>.json: the benchmark's workloads, untraced and traced, and
+the Tier-1 wall time, with the git sha they ran at.
 
     python3 scripts/write_bench.py --pr 8
-    python3 scripts/write_bench.py --pr 8 --baseline ../parent
+    python3 scripts/write_bench.py --pr 8 --baseline HEAD~2
 
 Each untraced run is `perfbench/run.py --workload W --seed S --trace 0`, for
-seeds 1..--pairs (default 10), each as long as `run_seconds` in
-BENCHMARK.json unless `--seconds` says otherwise; one traced run
-(`--trace 1`, seed 1) follows for each workload.  With `--baseline`, a second
-source checkout (for example the parent commit, unpacked with `git archive`)
-runs the same untraced workloads, the cold `tschur verify` and Tier-1; the
-two checkouts alternate seed by seed, and which goes first alternates too, so
-that both meet the same machine.  Each side's metrics are summarised by their
-median and quartiles over the seeds, and `faster_pairs` counts the seeds at
-which this checkout was lower.  Run it on a committed tree: the file records
-the sha and whether the work tree was clean.
-"""
+seeds 1..10, each as long as `run_seconds` in BENCHMARK.json; one traced run
+(`--trace 1`, seed 1) follows for each workload.  With `--baseline REV`, the
+revision is unpacked with `git archive` into a temporary directory and runs
+the same untraced workloads and Tier-1; the two checkouts alternate seed by
+seed, and which goes first alternates too, so that both meet the same
+machine.  Each side's metrics are summarised by their median and quartiles
+over the seeds, and `faster_pairs` counts the seeds at which this checkout
+was lower.  Run it on a committed tree: the file records the sha and whether
+the work tree was clean."""
 
 from __future__ import annotations
 
@@ -26,11 +24,14 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("dist_sample", "converge_tw")
+PAIRS = 10
+SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"]
 
@@ -47,10 +48,10 @@ def _git(*args):
     return res.stdout.strip() if res.returncode == 0 else None
 
 
-def perfbench(checkout, workload, seed, seconds, trace):
+def perfbench(checkout, workload, seed, trace):
     """The last JSON line of one `perfbench/run.py` run, with its `env` line."""
     res = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                          "--seed", str(seed), "--seconds", str(seconds),
+                          "--seed", str(seed), "--seconds", str(SECONDS),
                           "--trace", str(trace)],
                          cwd=checkout, capture_output=True, text=True)
     lines = res.stdout.strip().splitlines()
@@ -78,7 +79,7 @@ def summarise(runs):
     out = {}
     for name in runs[0]["metrics"]:
         vals = sorted(r["metrics"][name] for r in runs)
-        q = statistics.quantiles(vals, n=4) if len(vals) > 1 else vals * 3
+        q = statistics.quantiles(vals, n=4)
         out[name] = {"median": statistics.median(vals), "q1": q[0], "q3": q[2]}
     out["failed_share"] = sum(r["failed"] for r in runs) / sum(r["attempted"] for r in runs)
     return out
@@ -87,32 +88,42 @@ def summarise(runs):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True)
-    parser.add_argument("--pairs", type=int, default=10, help="untraced seeds per workload")
-    parser.add_argument("--seconds", type=float,
-                        default=json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"])
-    parser.add_argument("--baseline", type=Path, help="a second source checkout to compare with")
+    parser.add_argument("--baseline", help="a git revision to compare with")
     args = parser.parse_args(argv)
-    sides = {"change": ROOT}
-    if args.baseline:
-        sides["baseline"] = args.baseline.resolve()
+    with tempfile.TemporaryDirectory() as tmp:
+        sides = {"change": ROOT}
+        if args.baseline:
+            sides["baseline"] = Path(tmp)
+            archive = subprocess.run(["git", "archive", args.baseline], cwd=ROOT,
+                                     capture_output=True, check=True).stdout
+            subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        doc = bench(args, sides)
+    path = ROOT / f"BENCH_{args.pr}.json"
+    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    print(path)
+    return 0
 
+
+def bench(args, sides):
+    """The BENCH document for `sides`, a map from side name to source checkout."""
     doc = {
         "pr": args.pr,
         "git_sha": _git("rev-parse", "HEAD"),
         "work_tree_clean": _git("status", "--porcelain") == "",
+        "baseline_sha": args.baseline and _git("rev-parse", args.baseline),
         "machine": {"nproc": os.cpu_count(), "platform": platform.platform(),
                     "python": platform.python_version()},
         "command": " ".join([Path(sys.argv[0]).name] + sys.argv[1:]),
-        "seconds": args.seconds,
+        "seconds": SECONDS,
         "workloads": {},
     }
     for workload in WORKLOADS:
         runs = {side: [] for side in sides}
-        for seed in range(1, args.pairs + 1):
+        for seed in range(1, PAIRS + 1):
             order = list(sides.items())
             for side, checkout in order if seed % 2 else order[::-1]:
                 print(f"{side} {workload} seed {seed}", file=sys.stderr)
-                runs[side].append(perfbench(checkout, workload, seed, args.seconds, 0))
+                runs[side].append(perfbench(checkout, workload, seed, 0))
         entry = {side: {"summary": summarise(rs), "runs": rs} for side, rs in runs.items()}
         if args.baseline:
             entry["faster_pairs"] = {
@@ -120,18 +131,10 @@ def main(argv=None):
                           for c, b in zip(runs["change"], runs["baseline"]))
                 for name in runs["change"][0]["metrics"]}
         print(f"change {workload} traced", file=sys.stderr)
-        entry["traced"] = perfbench(ROOT, workload, 1, args.seconds, 1)
+        entry["traced"] = perfbench(ROOT, workload, 1, 1)
         doc["workloads"][workload] = entry
-
-    doc["cli_cold"] = {side: {"verify": timed(checkout, [sys.executable, "-m", "tschur.cli",
-                                                         "verify"])}
-                       for side, checkout in sides.items()}
     doc["tier1"] = {side: timed(checkout, TIER1) for side, checkout in sides.items()}
-
-    path = ROOT / f"BENCH_{args.pr}.json"
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    print(path)
-    return 0
+    return doc
 
 
 if __name__ == "__main__":

@@ -89,14 +89,15 @@ def _jt_minor(shape, coeffs):
     return det_gauss([[c(shape[i] - i + j) for j in range(size)] for i in range(size)])
 
 
-def _jacobi_trudi_det(lam, e_coeffs, h_coeffs):
-    """The Jacobi-Trudi determinant in its smaller form: det(h_{lambda_i-i+j}),
-    l(lambda) x l(lambda), when lambda has fewer rows than columns, else the
+def _jacobi_trudi_form(lam):
+    """The smaller form of the Jacobi-Trudi determinant of lambda, as (shape,
+    h_form): (lambda, True) for det(h_{lambda_i-i+j}), l(lambda) x l(lambda),
+    when lambda has fewer rows than columns, else (lambda', False) for the
     dual det(e_{lambda'_i-i+j}), lambda_1 x lambda_1.  The two agree because
     H(z) E(-z) = 1."""
     if len(lam) < lam.first_row():
-        return _jt_minor(lam.parts, h_coeffs)
-    return _jt_minor(lam.conjugate().parts, e_coeffs)
+        return lam.parts, True
+    return lam.conjugate().parts, False
 
 
 def schur_s(lam, variables, nmax=None):
@@ -116,8 +117,8 @@ def schur_S_t(lam, variables, t, nmax=None):
         return Fraction(0)
     if nmax is None:
         nmax = lam.size() + lam.first_row() + 1
-    return _jacobi_trudi_det(lam, gen_e_coeffs(variables, t, nmax),
-                             gen_h_coeffs(variables, t, nmax))
+    shape, h_form = _jacobi_trudi_form(lam)
+    return _jt_minor(shape, (gen_h_coeffs if h_form else gen_e_coeffs)(variables, t, nmax))
 
 
 def enumerate_marked_tableaux(lam, m):
@@ -193,7 +194,8 @@ def weights_by_size(m, n, t, size, max_part=None):
     series_y = gen_e_coeffs(y, 0, nmax), gen_h_coeffs(y, 0, nmax)
     w = [Fraction(0)] * (size + 1)
     for lam in partitions(size, max_part=max_part, max_rows=n):
-        w[lam.size()] += _jacobi_trudi_det(lam, *series_xt) * _jacobi_trudi_det(lam, *series_y)
+        shape, h_form = _jacobi_trudi_form(lam)
+        w[lam.size()] += _jt_minor(shape, series_xt[h_form]) * _jt_minor(shape, series_y[h_form])
     return w
 
 
