@@ -53,7 +53,7 @@ class MeasureParams:
 
     @property
     def exact(self):
-        return _is_exactish(self.alpha) or isinstance(self.alpha, Fraction)
+        return _is_exactish(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -83,15 +83,15 @@ class EntryDistribution:
             raise ValueError("k >= 1")
         return self.p0 * (-self.t) * self.rho ** k
 
-    def cumulative_table(self, tail_eps=_TAIL_EPS):
+    def cumulative_table(self):
         """Cumulative masses of |a| = 0, 1, 2, ..., renormalized after the
-        geometric tail drops below `tail_eps`."""
+        geometric tail drops below _TAIL_EPS."""
         rho = float(self.rho)
         t = float(self.t)
         p0 = (1 - rho) / (1 - t * rho)
         masses = [p0]
         k = 1
-        while 1 - sum(masses) > tail_eps:
+        while 1 - sum(masses) > _TAIL_EPS:
             masses.append(p0 * (1 - t) * rho ** k)
             k += 1
         cum = np.cumsum(masses)

@@ -26,6 +26,8 @@ import numpy as np
 from .series import TruncatedSeries, det_expansion, det_gauss, first_mismatch
 from .symfunc import SpecializedVars, gen_e_coeffs, weights_by_size
 
+_CDF_TOL = 1e-8  # largest excursion outside [0, 1] that `bo_cdf` accepts
+
 
 @dataclass
 class SymbolCoefficients:
@@ -342,7 +344,9 @@ def bo_cdf(params, h, N=None):
     slice of it, and the entries do not depend on the window, so the values
     match single calls bit for bit.  `N`, if given, is the section end for
     every h.  The sign-diagonal conjugation by J leaves the determinant
-    unchanged, so it is not applied explicitly.
+    unchanged, so it is not applied explicitly.  A determinant outside
+    [0, 1] by more than _CDF_TOL raises ArithmeticError; inside, the value
+    is returned as computed, not clamped.
     """
     single = np.ndim(h) == 0
     hs = [h] if single else list(h)
@@ -362,7 +366,10 @@ def bo_cdf(params, h, N=None):
         hank2 = psi2[inner[:, None] + rows[None, :] + 1 - base]
         block = hank1 @ hank2
         val = float(np.linalg.det(np.eye(end - hh) - block))
-        vals.append(min(max(val, 0.0), 1.0))
+        if not -_CDF_TOL <= val <= 1.0 + _CDF_TOL:
+            raise ArithmeticError(f"bo_cdf at h={hh}, N={end}: {val!r} lies outside [0, 1] "
+                                  f"by more than {_CDF_TOL}")
+        vals.append(val)
     return vals[0] if single else vals
 
 

@@ -1,40 +1,49 @@
 """Marked alphabet, P-matrices, biwords and the generalized RSK correspondence.
 
-The alphabet is the chain 1' < 1 < 2' < 2 < ... ; primed letters are "marked".
-Insertion uses BUMP (strict comparison) for unmarked letters and EQBUMP (weak
-comparison) for marked letters, and the first row of the common shape of the
-output pair equals the longest increasing subsequence length of the biword.
+The alphabet is the chain 1' < 1 < 2' < 2 < ... ; primed letters are "marked",
+and a letter is the integer of its place in the chain.  Insertion uses BUMP
+(strict comparison) for unmarked letters and EQBUMP (weak comparison) for
+marked letters, one bisection per row, and the first row of the common shape
+of the output pair equals the longest increasing subsequence length of the
+biword.
 """
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections import Counter
 
 from .partitions import Partition
 
 
-@dataclass(frozen=True, order=False)
-class Entry:
-    """One letter k or k' of the marked alphabet."""
+class Entry(int):
+    """One letter k or k' of the marked alphabet.
 
-    value: int
-    marked: bool = False
+    The integer value is the letter's place in the chain: k' is 2k - 1 and k
+    is 2k, so letters compare, sort and bisect as plain integers.
+    """
 
-    def __post_init__(self):
-        if self.value < 1:
+    __slots__ = ()
+
+    def __new__(cls, value, marked=False):
+        if value < 1:
             raise ValueError("letter values start at 1")
+        return super().__new__(cls, 2 * value - bool(marked))
+
+    def __getnewargs__(self):
+        return self.value, self.marked
 
     @property
-    def key(self):
-        # 1' -> 1, 1 -> 2, 2' -> 3, 2 -> 4, ...: encodes the chain order
-        return 2 * self.value - (1 if self.marked else 0)
+    def value(self):
+        return (int(self) + 1) // 2
 
-    def __lt__(self, other):
-        return self.key < other.key
+    @property
+    def marked(self):
+        return bool(self & 1)
 
-    def __le__(self, other):
-        return self.key <= other.key
+    def __repr__(self):
+        return f"Entry(value={self.value}, marked={self.marked})"
 
     def __str__(self):
         return f"{self.value}'" if self.marked else str(self.value)
@@ -45,6 +54,18 @@ class Entry:
         if token.endswith("'"):
             return cls(int(token[:-1]), True)
         return cls(int(token), False)
+
+
+def _row_step(a, b):
+    """May b follow a along a row (or in a biword block)?  Weakly increasing,
+    and a letter repeats only unmarked."""
+    return a < b or (a == b and not a.marked)
+
+
+def _col_step(a, b):
+    """May b sit below a in a column?  Weakly increasing, and a letter
+    repeats only marked."""
+    return a < b or (a == b and a.marked)
 
 
 class PMatrix:
@@ -138,8 +159,8 @@ class Biword:
         return f"Biword({up} / {lo})"
 
 
-class MarkedTableau:
-    """Filling of a Young diagram by the marked alphabet obeying T1 and T2."""
+class _Tableau:
+    """Rows of a Young diagram; `type` counts the entries by `_value`."""
 
     def __init__(self, rows=()):
         self.rows = [list(r) for r in rows]
@@ -148,115 +169,64 @@ class MarkedTableau:
         return Partition([len(r) for r in self.rows])
 
     def type(self):
-        counts = {}
-        for row in self.rows:
-            for e in row:
-                counts[e.value] = counts.get(e.value, 0) + 1
-        if not counts:
-            return []
-        return [counts.get(k, 0) for k in range(1, max(counts) + 1)]
+        counts = Counter(self._value(x) for row in self.rows for x in row)
+        return [counts[k] for k in range(1, max(counts, default=0) + 1)]
+
+    def copy(self):
+        return self.__class__(self.rows)
+
+    def __eq__(self, other):
+        return isinstance(other, self.__class__) and self.rows == other.rows
+
+    def __repr__(self):
+        body = "; ".join(" ".join(map(str, r)) for r in self.rows)
+        return f"{self.__class__.__name__}[{body}]"
+
+
+class MarkedTableau(_Tableau):
+    """Filling of a Young diagram by the marked alphabet obeying T1 and T2."""
+
+    _value = operator.attrgetter("value")
 
     def mark(self):
         return sum(1 for row in self.rows for e in row if e.marked)
 
-    def copy(self):
-        return MarkedTableau([list(r) for r in self.rows])
 
-    def __eq__(self, other):
-        return isinstance(other, MarkedTableau) and self.rows == other.rows
-
-    def __repr__(self):
-        return "MarkedTableau[" + "; ".join(" ".join(map(str, r)) for r in self.rows) + "]"
-
-
-class RecordingTableau:
+class RecordingTableau(_Tableau):
     """Semistandard tableau over the positive integers."""
 
+    _value = int
+
     def __init__(self, rows=()):
-        self.rows = [list(map(int, r)) for r in rows]
+        super().__init__(map(int, r) for r in rows)
 
-    def shape(self):
-        return Partition([len(r) for r in self.rows])
 
-    def type(self):
-        counts = {}
-        for row in self.rows:
-            for v in row:
-                counts[v] = counts.get(v, 0) + 1
-        if not counts:
-            return []
-        return [counts.get(k, 0) for k in range(1, max(counts) + 1)]
-
-    def copy(self):
-        return RecordingTableau([list(r) for r in self.rows])
-
-    def __eq__(self, other):
-        return isinstance(other, RecordingTableau) and self.rows == other.rows
-
-    def __repr__(self):
-        return "RecordingTableau[" + "; ".join(" ".join(map(str, r)) for r in self.rows) + "]"
+def _is_filling(rows, row_step, col_step):
+    """Row lengths weakly decrease, and every pair of neighbours obeys
+    `row_step` along a row and `col_step` down a column."""
+    return (all(len(up) >= len(low) for up, low in zip(rows, rows[1:]))
+            and all(row_step(a, b) for row in rows for a, b in zip(row, row[1:]))
+            and all(col_step(a, b) for up, low in zip(rows, rows[1:])
+                    for a, b in zip(up, low)))
 
 
 def validate_marked_tableau(t):
-    """True iff the filling satisfies T1 (monotone rows/columns) and T2."""
-    rows = t.rows
-    lengths = [len(r) for r in rows]
-    if any(lengths[i] < lengths[i + 1] for i in range(len(lengths) - 1)):
-        return False
-    for r, row in enumerate(rows):
-        for c, e in enumerate(row):
-            if c + 1 < len(row) and row[c + 1].key < e.key:
-                return False
-            if r + 1 < len(rows) and c < len(rows[r + 1]) and rows[r + 1][c].key < e.key:
-                return False
-    # T2: at most one marked k' per row, at most one unmarked k per column
-    for row in rows:
-        seen = set()
-        for e in row:
-            if e.marked:
-                if e.value in seen:
-                    return False
-                seen.add(e.value)
-    ncols = lengths[0] if lengths else 0
-    for c in range(ncols):
-        seen = set()
-        for r in range(len(rows)):
-            if c < len(rows[r]):
-                e = rows[r][c]
-                if not e.marked:
-                    if e.value in seen:
-                        return False
-                    seen.add(e.value)
-    return True
+    """True iff the filling satisfies T1 (monotone rows/columns) and T2 (at
+    most one k' per row, at most one k per column)."""
+    return _is_filling(t.rows, _row_step, _col_step)
 
 
 def validate_recording_tableau(t):
-    rows = t.rows
-    lengths = [len(r) for r in rows]
-    if any(lengths[i] < lengths[i + 1] for i in range(len(lengths) - 1)):
-        return False
-    for r, row in enumerate(rows):
-        for c, v in enumerate(row):
-            if v < 1:
-                return False
-            if c + 1 < len(row) and row[c + 1] < v:
-                return False
-            if r + 1 < len(rows) and c < len(rows[r + 1]) and rows[r + 1][c] <= v:
-                return False
-    return True
+    return (all(v >= 1 for row in t.rows for v in row)
+            and _is_filling(t.rows, operator.le, operator.lt))
 
 
 def validate_biword(w):
     """Check the upper-line ordering, block conditions and the marking rule."""
     pairs = w.pairs
-    for k in range(len(pairs) - 1):
-        (u1, a1), (u2, a2) = pairs[k], pairs[k + 1]
-        if u1 > u2:
+    for (u1, a1), (u2, a2) in zip(pairs, pairs[1:]):
+        if u1 > u2 or (u1 == u2 and not _row_step(a1, a2)):
             return False
-        if u1 == u2:
-            ok = a1.key < a2.key or (a1 == a2 and not a1.marked)
-            if not ok:
-                return False
     # within a fixed (upper, |lower|) group only the first letter may be marked
     seen_group = set()
     for u, a in pairs:
@@ -299,34 +269,27 @@ def matrix_from_biword(w, m, n):
     for (i, j), cnt in counts.items():
         entries[i - 1][j - 1] = Entry(cnt, marked.get((i, j), False))
     # entry magnitude is the multiplicity, with the group's mark if any
-    out = PMatrix(entries)
-    return out
+    return PMatrix(entries)
 
 
-def _row_keys(row):
-    return [e.key for e in row]
+def _bump(rows, letter):
+    """Insert `letter` into `rows` in place; returns (row, col) of the added
+    cell.  A marked letter bumps the leftmost entry >= it (EQBUMP), an
+    unmarked one the leftmost entry > it (BUMP)."""
+    for r, row in enumerate(rows):
+        pos = (bisect_left if letter.marked else bisect_right)(row, letter)
+        if pos == len(row):
+            row.append(letter)
+            return r, pos
+        letter, row[pos] = row[pos], letter
+    rows.append([letter])
+    return len(rows) - 1, 0
 
 
 def insert(tableau, alpha):
     """Insert one letter; returns (new tableau, (row, col)) of the added cell."""
     t = tableau.copy()
-    rows = t.rows
-    r = 0
-    cur = alpha
-    while True:
-        if r == len(rows):
-            rows.append([cur])
-            return t, (r, 0)
-        keys = _row_keys(rows[r])
-        if cur.marked:
-            pos = bisect_left(keys, cur.key)   # EQBUMP: smallest element >= alpha
-        else:
-            pos = bisect_right(keys, cur.key)  # BUMP: smallest element > alpha
-        if pos == len(keys):
-            rows[r].append(cur)
-            return t, (r, pos)
-        cur, rows[r][pos] = rows[r][pos], cur
-        r += 1
+    return t, _bump(t.rows, alpha)
 
 
 def rsk(a):
@@ -334,7 +297,7 @@ def rsk(a):
     s = MarkedTableau()
     u = RecordingTableau()
     for upper, lower in biword_from_matrix(a):
-        s, (r, c) = insert(s, lower)
+        r, _ = _bump(s.rows, lower)
         if r == len(u.rows):
             u.rows.append([upper])
         else:
@@ -349,21 +312,16 @@ class InverseRSKError(ValueError):
 def _reverse_insert(rows, start_row):
     """Undo the insertion whose cascade ended by appending in `start_row`.
 
-    Removes the last cell of that row and walks back up; returns the letter
-    that was originally inserted into row 0.
+    Removes the last cell of that row and walks back up, each letter taking
+    the place of the rightmost entry < it (<= it if marked), the mirror of
+    `_bump`; returns the letter that was originally inserted into row 0.
     """
     gamma = rows[start_row].pop()
     if not rows[start_row]:
         rows.pop()
-    for r in range(start_row - 1, -1, -1):
-        row = rows[r]
-        pos = None
-        for idx in range(len(row) - 1, -1, -1):
-            e = row[idx]
-            if e.key < gamma.key or (e == gamma and e.marked):
-                pos = idx
-                break
-        if pos is None:
+    for row in reversed(rows[:start_row]):
+        pos = (bisect_right if gamma.marked else bisect_left)(row, gamma) - 1
+        if pos < 0:
             raise InverseRSKError("no reverse bump candidate; pair not in the image")
         gamma, row[pos] = row[pos], gamma
     return gamma
@@ -399,23 +357,23 @@ def inverse_rsk(s, u, m=None, n=None):
     return matrix_from_biword(w, m, n)
 
 
-def _lis_keys(key_marked_seq):
-    """Patience-sorting LIS on (key, marked) letters.
+def _lis_keys(letters):
+    """Patience-sorting LIS of a sequence of letters.
 
     A letter may follow a weakly smaller one, except that equal marked letters
     cannot repeat: unmarked letters extend ties (bisect_right), marked ones do
     not (bisect_left).
     """
     tails = []
-    for key, marked in key_marked_seq:
-        pos = bisect_left(tails, key) if marked else bisect_right(tails, key)
+    for a in letters:
+        pos = (bisect_left if a.marked else bisect_right)(tails, a)
         if pos == len(tails):
-            tails.append(key)
+            tails.append(a)
         else:
-            tails[pos] = key
+            tails[pos] = a
     return len(tails)
 
 
 def longest_increasing(w):
     """Length of the longest increasing subsequence of the lower line."""
-    return _lis_keys((a.key, a.marked) for _, a in w.pairs)
+    return _lis_keys(w.lowers())

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .partitions import partitions
-from .rsk import Entry, MarkedTableau, validate_marked_tableau
+from .rsk import Entry, MarkedTableau, _col_step, _row_step, validate_marked_tableau
 from .series import TruncatedSeries, det_gauss, first_mismatch
 
 
@@ -109,11 +109,12 @@ def schur_S_t(lam, variables, t, nmax=None):
     """Generalized Schur function S_lambda(x;t) = det(e_{lambda'_i-i+j}(x;t))
     = det(h_{lambda_i-i+j}(x;t)).
 
-    At t = 0 it vanishes on fewer variables than lambda has rows, and that
-    zero is returned as such: in floats the h-form would leave rounding noise
-    of either sign where the dual form has a zero row."""
+    On m variables it vanishes outside the (m|m) hook, lambda_{m+1} > m
+    (at t = 0, outside the m rows, lambda_{m+1} > 0), and that zero is
+    returned as such: in floats the determinant would leave rounding noise of
+    either sign there."""
     count = variables.count if isinstance(variables, SpecializedVars) else len(variables)
-    if t == 0 and len(lam) > count:
+    if len(lam) > count and lam[count] > (count if t != 0 else 0):
         return Fraction(0)
     if nmax is None:
         nmax = lam.size() + lam.first_row() + 1
@@ -126,26 +127,14 @@ def enumerate_marked_tableaux(lam, m):
     if m < 1:
         raise ValueError("alphabet bound m must be >= 1")
     shape = list(lam.parts)
-    alphabet = []
-    for k in range(1, m + 1):
-        alphabet.append(Entry(k, True))
-        alphabet.append(Entry(k, False))
+    alphabet = [Entry(k, marked) for k in range(1, m + 1) for marked in (True, False)]
     cells = [(r, c) for r, p in enumerate(shape) for c in range(p)]
     rows = [[None] * p for p in shape]
     out = []
 
     def feasible(r, c, e):
-        if c > 0 and rows[r][c - 1].key > e.key:
-            return False
-        if r > 0 and rows[r - 1][c].key > e.key:
-            return False
-        if e.marked:
-            if any(x is not None and x == e for x in rows[r][:c]):
-                return False
-        else:
-            if any(rows[rr][c] == e for rr in range(r)):
-                return False
-        return True
+        return ((c == 0 or _row_step(rows[r][c - 1], e))
+                and (r == 0 or _col_step(rows[r - 1][c], e)))
 
     def fill(idx):
         if idx == len(cells):

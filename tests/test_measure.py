@@ -23,7 +23,7 @@ from tschur.measure import (
     sample_matrix,
     z_norm,
 )
-from tschur.partitions import Partition, partitions_in_box
+from tschur.partitions import Partition, partitions, partitions_in_box
 from tschur.rsk import Entry, PMatrix, _lis_keys, biword_from_matrix, rsk
 
 F = Fraction
@@ -137,8 +137,17 @@ def test_last_passage_recursion_is_patience_sort_is_rsk_first_row(matrices):
                       for a in matrices])
     recursion = measure._first_rows(sizes, marks)
     for a, lam1 in zip(matrices, recursion):
-        lis = _lis_keys((e.key, e.marked) for _, e in biword_from_matrix(a))
+        lis = _lis_keys(biword_from_matrix(a).lowers())
         assert lam1 == lis == rsk(a)[0].shape().first_row()
+
+
+def test_float_partition_probs_are_nonnegative():
+    # outside the (m|m) hook S_lambda vanishes, and the float route must not
+    # turn that zero into a small negative probability
+    for m, n in ((1, 3), (2, 3)):
+        p = MeasureParams(m, n, 0.37, -0.5)
+        for lam in (q for size in range(1, 9) for q in partitions(size)):
+            assert partition_prob(lam, p) >= 0, (m, n, lam)
 
 
 def test_entry_frequencies_match_pmf():

@@ -271,6 +271,20 @@ def test_bo_cdf_tail_and_degenerate_limits():
         assert numerics.bo_cdf(tiny, h) >= float((1 - tiny.rho) ** 4) - 1e-12
 
 
+def test_bo_cdf_raises_outside_unit_interval(monkeypatch):
+    # flipping psi2 turns det(I - H1 H2) into det(I + H1 H2) > 1: the value
+    # must be refused, not clamped to 1
+    build = numerics.hankel_symbols
+
+    def flipped(params, kmin, kmax):
+        psi1, psi2 = build(params, kmin, kmax)
+        return psi1, -psi2
+
+    monkeypatch.setattr(numerics, "hankel_symbols", flipped)
+    with pytest.raises(ArithmeticError, match=r"outside \[0, 1\]"):
+        numerics.bo_cdf(MeasureParams(2, 2, F(1, 2), F(0)), [0, 1])
+
+
 @pytest.mark.parametrize(
     "p, hs",
     [

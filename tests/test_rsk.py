@@ -1,10 +1,15 @@
 """Marked RSK: insertion, bijectivity, the LIS theorem, and conservation laws."""
 
+import copy
+import hashlib
 import itertools
+import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from tschur.measure import MeasureParams, sample_matrix
 from tschur.rsk import (
     Biword,
     Entry,
@@ -34,7 +39,19 @@ def test_entry_ordering_and_keys():
     # 1' < 1 < 2' < 2 < ...
     order = [E("1'"), E("1"), E("2'"), E("2"), E("3'")]
     assert all(order[i] < order[i + 1] for i in range(len(order) - 1))
-    assert E("3'").key == 5 and E("3").key == 6
+    assert sorted(reversed(order)) == order
+    assert [str(e) for e in sorted(order[::2] + order[1::2])] == ["1'", "1", "2'", "2", "3'"]
+    # a letter is the integer of its place in the chain
+    assert E("3'") == 5 and E("3") == 6
+    assert (E("3'").value, E("3'").marked, E("3").value, E("3").marked) == (3, True, 3, False)
+
+
+def test_entry_survives_pickle_and_copy():
+    for e in (E("1'"), E("1"), E("3'"), E("12")):
+        for back in [pickle.loads(pickle.dumps(e, proto)) for proto in range(6)] + [
+            copy.copy(e), copy.deepcopy(e), copy.deepcopy([e])[0]
+        ]:
+            assert type(back) is Entry and back == e and str(back) == str(e)
 
 
 def test_entry_parse_and_str_roundtrip():
@@ -179,7 +196,7 @@ def _lis_bruteforce(lowers):
     n = len(lowers)
     for mask in range(1 << n):
         sub = [lowers[i] for i in range(n) if (mask >> i) & 1]
-        if any(sub[i].key > sub[i + 1].key for i in range(len(sub) - 1)):
+        if any(sub[i] > sub[i + 1] for i in range(len(sub) - 1)):
             continue
         marked = [x for x in sub if x.marked]
         if len(marked) != len(set(marked)):
@@ -308,3 +325,19 @@ def test_empty_matrix():
     s, u = rsk(a)
     assert s.rows == [] and u.rows == []
     assert longest_increasing(biword_from_matrix(a)) == 0
+
+
+def test_rsk_of_seeded_draws_is_pinned():
+    # every S letter and U value of 100 sampled matrices, as written by the
+    # comparison-based insertion that the bisections replaced
+    digest = hashlib.sha256()
+    for m, n, a, t in ((10, 10, Fraction(2, 5), 0), (10, 10, Fraction(2, 5), -1),
+                       (10, 10, Fraction(4, 5), -1), (3, 30, Fraction(1, 2), Fraction(-1, 2))):
+        for seed in range(25):
+            mat = sample_matrix(MeasureParams(m, n, a, t), seed)
+            s, u = rsk(mat)
+            assert inverse_rsk(s, u, mat.m, mat.n) == mat
+            for tab in (s, u):
+                digest.update(("/".join(" ".join(map(str, r)) for r in tab.rows) + "\n").encode())
+    assert digest.hexdigest() == (
+        "4e8a7bd2055494f008b1e41a81a1744a312333100bb7e4060b6f820df35e6edb")

@@ -91,6 +91,18 @@ def test_schur_vanishes_beyond_its_variables_in_floats():
         assert schur_S_t(lam, SpecializedVars(2, 0.5), 0.0) == 0
 
 
+def test_schur_S_t_vanishes_outside_the_hook_in_floats():
+    # at t != 0, S_lambda on m variables is zero exactly when lambda_{m+1} > m;
+    # floats must give that zero too, not rounding noise of either sign
+    for lam in (p for size in range(1, 9) for p in partitions(size)):
+        for m in (1, 2, 3):
+            for t in (F(-1, 2), F(-1), F(-3, 2)):
+                exact = schur_S_t(lam, SpecializedVars(m, F(37, 100)), t)
+                assert (exact == 0) == (len(lam) > m and lam[m] > m), (lam, m, t)
+                if exact == 0:
+                    assert schur_S_t(lam, SpecializedVars(m, 0.37), float(t)) == 0, (lam, m, t)
+
+
 def test_schur_s_known_values():
     a = F(1, 2)
     # s_(2,1)(x1,x2) = x1 x2 (x1 + x2) -> 2 a^3
