@@ -29,7 +29,7 @@ class Entry(int):
     def __new__(cls, value, marked=False):
         if value < 1:
             raise ValueError("letter values start at 1")
-        return super().__new__(cls, 2 * value - bool(marked))
+        return int.__new__(cls, 2 * value - (1 if marked else 0))
 
     def __getnewargs__(self):
         return self.value, self.marked
