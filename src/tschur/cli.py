@@ -11,6 +11,7 @@ seed produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -44,19 +45,19 @@ def _write_rows(stream, meta, header, rows):
         stream.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _open_out(path):
+@contextlib.contextmanager
+def _output(path):
+    """Standard output for None or "-", else the file at `path`, LF endings."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline="\n"), True
+        yield sys.stdout
+    else:
+        with open(path, "w", newline="\n") as stream:
+            yield stream
 
 
 def _emit(path, meta, header, rows):
-    stream, close = _open_out(path)
-    try:
+    with _output(path) as stream:
         _write_rows(stream, meta, header, rows)
-    finally:
-        if close:
-            stream.close()
 
 
 def _parse_rational(text):
@@ -117,13 +118,9 @@ def cmd_dist(args):
     hs = range(args.h_max + 1)
     rows = [(h, float(v)) for h, v in zip(hs, lambda1_cdf_exact(params, hs, mode=args.mode))]
     if args.format == "json":
-        stream, close = _open_out(args.out)
-        try:
+        with _output(args.out) as stream:
             json.dump({"meta": meta, "cdf": {h: v for h, v in rows}}, stream, indent=2)
             stream.write("\n")
-        finally:
-            if close:
-                stream.close()
     else:
         _emit(args.out, meta, ("h", "cdf"), rows)
     return 0
@@ -157,13 +154,9 @@ def cmd_constants(args):
         "z0": data.z0, "c": data.c, "sigma3": data.sigma3, "g": data.g,
         "c1": data.c1, "c2": data.c2,
     }
-    stream, close = _open_out(args.out)
-    try:
+    with _output(args.out) as stream:
         json.dump(record, stream, indent=2)
         stream.write("\n")
-    finally:
-        if close:
-            stream.close()
     return 0
 
 
@@ -198,16 +191,11 @@ def cmd_converge(args):
         (r["n"], r["s"], r.get("empirical_cdf", ""), r.get("f2", ""), r.get("abs_diff", ""))
         for r in sorted(rows, key=lambda r: (r["n"], r["s"]))
     ]
-    if args.out:
-        _emit(args.out + "_rows.csv", meta, ("n", "s", "empirical_cdf", "f2", "abs_diff"), table)
-        _emit(
-            args.out + "_summary.csv", meta, ("n", "sup_distance"),
-            [(s["n"], s["sup_distance"]) for s in summary],
-        )
-    else:
-        _write_rows(sys.stdout, meta, ("n", "s", "empirical_cdf", "f2", "abs_diff"), table)
-        _write_rows(sys.stdout, meta, ("n", "sup_distance"),
-                    [(s["n"], s["sup_distance"]) for s in summary])
+    prefix = args.out or None  # no prefix: both tables go to standard output
+    _emit(prefix and prefix + "_rows.csv", meta,
+          ("n", "s", "empirical_cdf", "f2", "abs_diff"), table)
+    _emit(prefix and prefix + "_summary.csv", meta, ("n", "sup_distance"),
+          [(s["n"], s["sup_distance"]) for s in summary])
     return 0
 
 

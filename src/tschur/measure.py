@@ -14,11 +14,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import numerics
 from .partitions import partitions_in_box  # noqa: F401 (looked up by perfbench's tests)
 from .rsk import Entry, PMatrix
 from .symfunc import SpecializedVars, schur_S_t, schur_s, weights_by_size
 
-_TAIL_EPS = 1e-15
 _BLOCK_ENTRIES = 1 << 18  # matrix entries drawn at once by `sample_lambda1`
 
 
@@ -83,20 +83,6 @@ class EntryDistribution:
             raise ValueError("k >= 1")
         return self.p0 * (-self.t) * self.rho ** k
 
-    def cumulative_table(self):
-        """Cumulative masses of |a| = 0, 1, 2, ..., renormalized after the
-        geometric tail drops below _TAIL_EPS."""
-        rho = float(self.rho)
-        t = float(self.t)
-        p0 = (1 - rho) / (1 - t * rho)
-        masses = [p0]
-        k = 1
-        while 1 - sum(masses) > _TAIL_EPS:
-            masses.append(p0 * (1 - t) * rho ** k)
-            k += 1
-        cum = np.cumsum(masses)
-        return cum / cum[-1]
-
 
 def entry_pmf(rho, t):
     return EntryDistribution(rho, t)
@@ -122,26 +108,26 @@ def partition_prob(lam, params):
     return big * s / z_norm(params)
 
 
-def _mark_prob(t):
-    t = float(t)
-    return (-t) / (1 - t) if t != 0 else 0.0
-
-
 def _entry_law(params):
-    """(cumulative table of |a|, probability that a nonzero entry is marked)."""
-    return entry_pmf(params.rho, params.t).cumulative_table(), _mark_prob(params.t)
+    """(p0, log rho, probability that a nonzero entry is marked) in floats:
+    |a| = 0 with probability p0, and P(|a| <= k) = 1 - (1 - p0) rho^k."""
+    rho, t = float(params.rho), float(params.t)
+    return (1 - rho) / (1 - t * rho), math.log(rho), -t / (1 - t)
 
 
 def _draw(law, seeds, cells):
     """(sizes, marks) arrays of shape (len(seeds), cells), one row per seed:
-    each row takes its own generator and two `random(cells)` calls."""
-    cum, mark_prob = law
+    each row takes its own generator and two `random(cells)` calls.  A size
+    inverts the law's CDF at u: 0 if u < p0, else the least k with
+    1 - (1 - p0) rho^k > u."""
+    p0, log_rho, mark_prob = law
     u = np.empty((len(seeds), 2, cells))
     for row, seed in zip(u, seeds):
         rng = np.random.default_rng(seed)
         rng.random(out=row[0])
         rng.random(out=row[1])
-    sizes = np.searchsorted(cum, u[:, 0], side="right")
+    tail = np.floor((np.log1p(-u[:, 0]) - math.log1p(-p0)) / log_rho).astype(np.int64)
+    sizes = np.where(u[:, 0] < p0, 0, 1 + tail)
     marks = (u[:, 1] < mark_prob) & (sizes > 0)
     return sizes, marks
 
@@ -234,8 +220,6 @@ def lambda1_cdf_exact(params, h, mode="auto"):
     `toeplitz_det` pass, whose leading minors are the determinants of the
     smaller h.
     """
-    from . import numerics
-
     single = np.ndim(h) == 0
     hs = [h] if single else list(h)
     if any(hh < 0 for hh in hs):

@@ -100,7 +100,7 @@ def symbol_phi_alpha_series(m, n, t, kmin, kmax, degree):
             d = 2 * j + k
             if d <= degree:
                 poly[d] += ext.coeff(j) * ey.coeff(j + k)
-        coeffs.append(TruncatedSeries(poly, 0, degree))
+        coeffs.append(TruncatedSeries(poly, degree))
     return SymbolCoefficients(kmin, kmax, coeffs)
 
 
@@ -184,7 +184,7 @@ def gessel_lhs_alpha_series(m, n, t, h, degree):
     lambda_1 <= h as an exact alpha-series through `degree`:
     `symfunc.weights_by_size` placed on the even degrees."""
     w = weights_by_size(m, n, t, degree // 2, max_part=h)
-    return TruncatedSeries([c for wk in w for c in (wk, Fraction(0))], 0, degree)
+    return TruncatedSeries([c for wk in w for c in (wk, Fraction(0))], degree)
 
 
 def gessel_check(m, n, t, h, degree):

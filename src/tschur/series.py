@@ -1,161 +1,107 @@
-"""Truncated power/Laurent series arithmetic over exact or floating scalars.
+"""Truncated power series and the exact determinants of the identity checks.
 
-Coefficients live in any field Python can compute with (Fraction for exact
-identity work, float elsewhere).  A series is stored as a contiguous
-coefficient block ``coeffs[k] * X**(offset + k)`` and is considered exact
-through the exponent ``order``; everything above is unknown, everything
-below ``offset`` is zero.
+A series holds the coefficients of X^0, ..., X^order in any field Python can
+compute with (Fraction for exact identity work, float elsewhere); everything
+above ``order`` is unknown.  The Cauchy and Gessel identities are checked
+degreewise on such series: `det_gauss` takes determinants over a field,
+`det_expansion` over a ring such as the series themselves.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
 
 
 class TruncatedSeries:
-    """A Laurent series truncated above exponent ``order`` (inclusive)."""
+    """A power series truncated above exponent ``order`` (inclusive)."""
 
-    __slots__ = ("offset", "order", "coeffs")
+    __slots__ = ("order", "coeffs")
 
-    def __init__(self, coeffs, offset=0, order=None):
+    def __init__(self, coeffs, order=None):
         coeffs = list(coeffs)
         if order is None:
-            order = offset + len(coeffs) - 1
-        if order < offset - 1:
-            raise ValueError("order below offset")
-        want = order - offset + 1
-        if len(coeffs) < want:
-            coeffs = coeffs + [0] * (want - len(coeffs))
-        elif len(coeffs) > want:
-            coeffs = coeffs[:want]
-        self.offset = offset
+            order = len(coeffs) - 1
+        if order < 0:
+            raise ValueError("truncation order must be nonnegative")
         self.order = order
-        self.coeffs = coeffs
-
-    @classmethod
-    def constant(cls, c, order):
-        return cls([c], 0, order)
+        self.coeffs = (coeffs + [0] * (order + 1 - len(coeffs)))[: order + 1]
 
     def coeff(self, k):
         """Coefficient of X**k; raises if k exceeds the truncation order."""
         if k > self.order:
             raise IndexError(f"exponent {k} beyond truncation order {self.order}")
-        if k < self.offset:
-            return 0
-        return self.coeffs[k - self.offset]
-
-    def truncate(self, order):
-        if order >= self.order:
-            return TruncatedSeries(self.coeffs, self.offset, order) if order == self.order else \
-                TruncatedSeries(self.coeffs + [0] * (order - self.order), self.offset, order)
-        return TruncatedSeries(self.coeffs[: order - self.offset + 1], self.offset, order)
-
-    def _strip(self):
-        """Index of first nonzero coefficient, or None if identically zero."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return i
-        return None
+        return self.coeffs[k] if k >= 0 else 0
 
     def __neg__(self):
-        return TruncatedSeries([-c for c in self.coeffs], self.offset, self.order)
+        return TruncatedSeries([-c for c in self.coeffs], self.order)
 
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
-            other = TruncatedSeries([other], 0, self.order)
-        off = min(self.offset, other.offset)
-        order = min(self.order, other.order)
-        out = [0] * (order - off + 1)
-        for src in (self, other):
-            for i, c in enumerate(src.coeffs):
-                k = src.offset + i
-                if k <= order:
-                    out[k - off] = out[k - off] + c
-        return TruncatedSeries(out, off, order)
+            other = TruncatedSeries([other], self.order)
+        return TruncatedSeries([a + b for a, b in zip(self.coeffs, other.coeffs)],
+                               min(self.order, other.order))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            other = TruncatedSeries([other], 0, self.order)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
-            return TruncatedSeries([c * other for c in self.coeffs], self.offset, self.order)
-        # product is reliable through min(f.order + g.offset, g.order + f.offset)
-        order = min(self.order + other.offset, other.order + self.offset)
-        off = self.offset + other.offset
-        out = [0] * (order - off + 1)
-        for i, a in enumerate(self.coeffs):
+            return TruncatedSeries([c * other for c in self.coeffs], self.order)
+        order = min(self.order, other.order)
+        out = [0] * (order + 1)
+        for i, a in enumerate(self.coeffs[: order + 1]):
             if a == 0:
                 continue
-            ka = self.offset + i
-            jmax = min(len(other.coeffs), order - ka - other.offset + 1)
-            for j in range(jmax):
-                b = other.coeffs[j]
+            for j, b in enumerate(other.coeffs[: order + 1 - i], i):
                 if b != 0:
-                    out[ka + other.offset + j - off] += a * b
-        return TruncatedSeries(out, off, order)
+                    out[j] += a * b
+        return TruncatedSeries(out, order)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse; the lowest retained coefficient must be a unit."""
-        i0 = self._strip()
-        if i0 is None:
-            raise ZeroDivisionError("cannot invert the zero series")
-        if i0 != 0:
-            shifted = TruncatedSeries(self.coeffs[i0:], self.offset + i0, self.order)
-            return shifted.inverse()
+        """Multiplicative inverse; the coefficient of X^0 must be a unit."""
         c0 = self.coeffs[0]
-        n = self.order - self.offset  # number of correction terms
-        inv0 = 1 / c0 if not isinstance(c0, (int, Fraction)) else Fraction(1, 1) / c0
-        out = [inv0] + [0] * n
-        for k in range(1, n + 1):
+        if c0 == 0:
+            raise ZeroDivisionError("cannot invert a series whose X^0 coefficient is zero")
+        inv0 = Fraction(1, 1) / c0 if isinstance(c0, (int, Fraction)) else 1 / c0
+        out = [inv0]
+        for k in range(1, self.order + 1):
             acc = 0
-            for j in range(1, min(k, len(self.coeffs) - 1) + 1):
+            for j in range(1, k + 1):
                 acc += self.coeffs[j] * out[k - j]
-            out[k] = -acc * inv0
-        return TruncatedSeries(out, -self.offset, self.order - 2 * self.offset)
+            out.append(-acc * inv0)
+        return TruncatedSeries(out, self.order)
 
     def __pow__(self, exponent):
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = TruncatedSeries([1], 0, self.order - self.offset if self.offset >= 0 else self.order)
-        base = self
-        e = exponent
-        # keep the running truncation compatible with self's order
-        result = result.truncate(self.order)
-        while e:
-            if e & 1:
+        result, base = TruncatedSeries([1], self.order), self
+        while exponent:
+            if exponent & 1:
                 result = result * base
-            e >>= 1
-            if e:
+            exponent >>= 1
+            if exponent:
                 base = base * base
         return result
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
-            other = TruncatedSeries([other], 0, self.order)
-        order = min(self.order, other.order)
-        lo = min(self.offset, other.offset)
-        return all(self.coeff(k) == other.coeff(k) for k in range(lo, order + 1))
+            other = TruncatedSeries([other], self.order)
+        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
 
     def __repr__(self):
-        terms = [f"{c}*X^{self.offset + i}" for i, c in enumerate(self.coeffs) if c != 0]
+        terms = [f"{c}*X^{k}" for k, c in enumerate(self.coeffs) if c != 0]
         body = " + ".join(terms) if terms else "0"
         return f"TruncatedSeries({body} + O(X^{self.order + 1}))"
 
 
 def first_mismatch(lhs, rhs, degree):
     """The first (k, lhs_k, rhs_k), k <= degree, at which two series differ,
-    or None; a scalar stands for a constant series."""
-    lhs, rhs = (s if isinstance(s, TruncatedSeries) else TruncatedSeries.constant(s, degree)
+    or None; a scalar c stands for the series c + O(X^(degree+1))."""
+    lhs, rhs = (s if isinstance(s, TruncatedSeries) else TruncatedSeries([s], degree)
                 for s in (lhs, rhs))
     for k in range(degree + 1):
         if lhs.coeff(k) != rhs.coeff(k):
@@ -195,33 +141,18 @@ def det_gauss(rows):
     return det if sign > 0 else -det
 
 
-def det_expansion(rows):
-    """Determinant by signed permutation expansion.
 
-    Valid over any commutative ring (e.g. TruncatedSeries entries), O(n!·n);
-    intended for the small matrices that arise in degreewise identity checks.
+def det_expansion(rows):
+    """Determinant by cofactor expansion along the first row.
+
+    Division-free, so valid over any commutative ring (e.g. TruncatedSeries
+    entries); O(n!) products, meant for the small matrices that arise in
+    degreewise identity checks.  The 0x0 determinant is 1.
     """
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    total = None
-    for perm in permutations(range(n)):
-        sign = 1
-        seen = [False] * n
-        for i in range(n):
-            if not seen[i]:
-                j = i
-                length = 0
-                while not seen[j]:
-                    seen[j] = True
-                    j = perm[j]
-                    length += 1
-                if length % 2 == 0:
-                    sign = -sign
-        term = rows[0][perm[0]]
-        for i in range(1, n):
-            term = term * rows[i][perm[i]]
-        if sign < 0:
-            term = -term
-        total = term if total is None else total + term
+    if len(rows) <= 1:
+        return rows[0][0] if rows else Fraction(1)
+    total = 0
+    for j, a in enumerate(rows[0]):
+        term = a * det_expansion([r[:j] + r[j + 1:] for r in rows[1:]])
+        total = total - term if j % 2 else total + term
     return total

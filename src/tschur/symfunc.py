@@ -45,11 +45,11 @@ def gen_e_coeffs(variables, t, nmax):
         raise ValueError("nmax must be nonnegative")
     if isinstance(variables, SpecializedVars):
         return _specialized_coeffs(variables, t, nmax, 1)
-    result = TruncatedSeries([1], 0, nmax)
+    result = TruncatedSeries([1], nmax)
     for x in variables:
-        result = result * TruncatedSeries([1, x], 0, nmax)
+        result = result * TruncatedSeries([1, x], nmax)
         if t != 0:
-            result = result * TruncatedSeries([1, t * x], 0, nmax).inverse()
+            result = result * TruncatedSeries([1, t * x], nmax).inverse()
     return result
 
 
@@ -64,7 +64,7 @@ def gen_h_coeffs(variables, t, nmax):
     if isinstance(variables, SpecializedVars):
         return _specialized_coeffs(variables, t, nmax, -1)
     e = gen_e_coeffs(variables, t, nmax)
-    return TruncatedSeries([(-1) ** k * c for k, c in enumerate(e.coeffs)], 0, nmax).inverse()
+    return TruncatedSeries([(-1) ** k * c for k, c in enumerate(e.coeffs)], nmax).inverse()
 
 
 def _specialized_coeffs(variables, t, nmax, sign):
@@ -76,7 +76,7 @@ def _specialized_coeffs(variables, t, nmax, sign):
     e = [1, a]
     for l in range(1, nmax):
         e.append(((a - b * l) * e[l] - c * (l - 1) * e[l - 1]) / (l + 1))
-    return TruncatedSeries(e, 0, nmax)
+    return TruncatedSeries(e, nmax)
 
 
 def _jt_minor(shape, coeffs):
@@ -100,12 +100,12 @@ def _jacobi_trudi_form(lam):
     return lam.conjugate().parts, False
 
 
-def schur_s(lam, variables, nmax=None):
+def schur_s(lam, variables):
     """Classical Schur function s_lambda via the Jacobi-Trudi identity."""
-    return schur_S_t(lam, variables, 0, nmax)
+    return schur_S_t(lam, variables, 0)
 
 
-def schur_S_t(lam, variables, t, nmax=None):
+def schur_S_t(lam, variables, t):
     """Generalized Schur function S_lambda(x;t) = det(e_{lambda'_i-i+j}(x;t))
     = det(h_{lambda_i-i+j}(x;t)).
 
@@ -116,9 +116,8 @@ def schur_S_t(lam, variables, t, nmax=None):
     count = variables.count if isinstance(variables, SpecializedVars) else len(variables)
     if len(lam) > count and lam[count] > (count if t != 0 else 0):
         return Fraction(0)
-    if nmax is None:
-        nmax = lam.size() + lam.first_row() + 1
     shape, h_form = _jacobi_trudi_form(lam)
+    nmax = lam.size() + lam.first_row() + 1
     return _jt_minor(shape, (gen_h_coeffs if h_form else gen_e_coeffs)(variables, t, nmax))
 
 
@@ -190,8 +189,8 @@ def weights_by_size(m, n, t, size, max_part=None):
 
 def cauchy_rhs_series(m, n, t, degree):
     """((1 - t alpha^2)/(1 - alpha^2))^(mn) expanded through `degree`."""
-    num = TruncatedSeries([Fraction(1), Fraction(0), Fraction(-t)], 0, degree)
-    den = TruncatedSeries([Fraction(1), Fraction(0), Fraction(-1)], 0, degree)
+    num = TruncatedSeries([Fraction(1), Fraction(0), Fraction(-t)], degree)
+    den = TruncatedSeries([Fraction(1), Fraction(0), Fraction(-1)], degree)
     return (num * den.inverse()) ** (m * n)
 
 
@@ -203,6 +202,6 @@ def cauchy_check(m, n, t, degree):
     else the first (exponent, lhs, rhs) triple that disagrees.
     """
     w = weights_by_size(m, n, t, degree // 2)
-    lhs = TruncatedSeries([c for wk in w for c in (wk, Fraction(0))], 0, degree)
+    lhs = TruncatedSeries([c for wk in w for c in (wk, Fraction(0))], degree)
     mismatch = first_mismatch(lhs, cauchy_rhs_series(m, n, t, degree), degree)
     return mismatch is None, mismatch

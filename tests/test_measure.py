@@ -57,12 +57,6 @@ def test_entry_pmf_values():
     assert abs(float(total) - 1.0) < 1e-50
 
 
-def test_cumulative_table_normalized_monotone():
-    cum = entry_pmf(0.25, -0.5).cumulative_table()
-    assert cum[-1] == 1.0
-    assert np.all(np.diff(cum) > 0)
-
-
 def test_partition_prob_known_value():
     # empty partition at t=0: P(emptyset) = (1 - alpha^2)^{mn}
     p = MeasureParams(2, 2, F(1, 2), F(0))
@@ -161,6 +155,24 @@ def test_entry_frequencies_match_pmf():
     for freq, prob in ((f0, d.p0), (fm, d.p_marked(1))):
         se = math.sqrt(float(prob) * (1 - float(prob)) / n)
         assert abs(freq - float(prob)) < 3 * se + 1e-12
+
+
+def test_entry_sizes_invert_the_law_near_alpha_one():
+    # each size is the least k with P(|a| <= k) = 1 - (1 - p0) rho^k > u, in
+    # exact arithmetic, for the uniform u that `sample_matrix` draws first;
+    # at alpha = 99/100 the law's tail runs to thousands of terms
+    p = MeasureParams(20, 20, F(99, 100), F(-1, 2))
+    a = sample_matrix(p, 11)
+    u = np.random.default_rng(11).random(p.m * p.n)
+    p0 = entry_pmf(p.rho, p.t).p0
+
+    def cdf(k):
+        return 1 - (1 - p0) * p.rho ** k if k >= 0 else 0
+
+    sizes = [a.abs_entry(i, j) for i in range(a.m) for j in range(a.n)]
+    assert max(sizes) > 100
+    for k, x in zip(sizes, u):
+        assert cdf(k - 1) <= F(x) < cdf(k), (k, x)
 
 
 def test_cdf_exact_matches_box_oracle():
