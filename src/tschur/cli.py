@@ -191,7 +191,7 @@ def cmd_converge(args):
         (r["n"], r["s"], r.get("empirical_cdf", ""), r.get("f2", ""), r.get("abs_diff", ""))
         for r in sorted(rows, key=lambda r: (r["n"], r["s"]))
     ]
-    prefix = args.out or None  # no prefix: both tables go to standard output
+    prefix = None if args.out in (None, "", "-") else args.out  # None: standard output
     _emit(prefix and prefix + "_rows.csv", meta,
           ("n", "s", "empirical_cdf", "f2", "abs_diff"), table)
     _emit(prefix and prefix + "_summary.csv", meta, ("n", "sup_distance"),
@@ -269,7 +269,7 @@ def main(argv=None):
     p.add_argument("--n-list", required=True)
     p.add_argument("--s-grid", default="-4 -3 -2 -1 0 1 2 3")
     p.add_argument("--shift", type=int, default=-1)
-    p.add_argument("--out", help="prefix for _rows.csv and _summary.csv")
+    p.add_argument("--out", help="prefix for _rows.csv and _summary.csv; - for stdout")
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("verify", help="run the acceptance criteria")

@@ -175,6 +175,18 @@ def test_converge_writes_files(tmp_path):
     assert "sup_distance" in summary
 
 
+def test_converge_dash_writes_standard_output(monkeypatch, tmp_path, capsys):
+    # `--out -` means standard output here as in every other command
+    from tschur import cli
+
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["converge", "--alpha", "0.5", "--tau", "1", "--t", "0",
+                     "--n-list", "6", "--s-grid=-1,1", "--out", "-"]) == 0
+    out = capsys.readouterr().out
+    assert "sup_distance" in out and out.splitlines()[-1].startswith("6,")
+    assert not list(tmp_path.iterdir())
+
+
 def test_verify_quick_passes():
     res = run_cli("verify")
     assert res.returncode == 0, res.stdout + res.stderr
