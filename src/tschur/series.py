@@ -54,9 +54,9 @@ class TruncatedSeries:
         for i, a in enumerate(self.coeffs[: order + 1]):
             if a == 0:
                 continue
-            for j, b in enumerate(other.coeffs[: order + 1 - i], i):
+            for k, b in enumerate(other.coeffs[: order + 1 - i], i):
                 if b != 0:
-                    out[j] += a * b
+                    out[k] += a * b
         return TruncatedSeries(out, order)
 
     __rmul__ = __mul__
