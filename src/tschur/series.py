@@ -13,7 +13,7 @@ from fractions import Fraction
 
 
 class TruncatedSeries:
-    """A power series truncated above exponent ``order`` (inclusive)."""
+    """A power series known through exponent ``order`` (inclusive)."""
 
     __slots__ = ("order", "coeffs")
 
