@@ -141,44 +141,6 @@ def t0_closed_forms(alpha, tau):
     return z0, c1, c2
 
 
-def sigma_derivative_check(alpha, tau, t, step=1e-5):
-    """Residuals of the closed-form sigma derivatives against central finite
-    differences of sigma(z) = tau log((z-a)/(z-ta)) - log(1-a z) - c log z.
-
-    The differences are taken at 50-digit working precision so that the
-    third-derivative stencil is not drowned by rounding (in doubles its
-    floor sits near 1e-4).
-    """
-    import mpmath
-
-    data = constants(alpha, tau, t)
-    z0, c = data.z0, data.c
-    with mpmath.workdps(50):
-        za, zt, zc = mpmath.mpf(alpha), mpmath.mpf(t), mpmath.mpf(c)
-
-        def sigma(z):
-            return (
-                mpmath.mpf(tau) * mpmath.log((z - za) / (z - zt * za))
-                - mpmath.log(1 - za * z)
-                - zc * mpmath.log(z)
-            )
-
-        h = mpmath.mpf(step) * min(z0 - alpha, 1.0 / alpha - z0)
-        z = mpmath.mpf(z0)
-        fd1 = (sigma(z + h) - sigma(z - h)) / (2 * h)
-        fd2 = (sigma(z + h) - 2 * sigma(z) + sigma(z - h)) / (h * h)
-        fd3 = (
-            sigma(z + 2 * h) - 2 * sigma(z + h) + 2 * sigma(z - h) - sigma(z - 2 * h)
-        ) / (2 * h ** 3)
-        return {
-            "first": float(abs(fd1 - sigma_prime(z0, alpha, tau, t, c))),
-            "second": float(abs(fd2 - sigma_second(z0, alpha, tau, t, c))),
-            "third": float(abs(fd3 - data.sigma3)),
-            "first_at_saddle": abs(sigma_prime(z0, alpha, tau, t, c)),
-            "second_at_saddle": abs(sigma_second(z0, alpha, tau, t, c)),
-        }
-
-
 def scaled_cdf(params, data, s, shift=-1):
     """P(lambda_1 <= h + shift) at h = ceil(c n + g^{-1} n^{1/3} s), by the
     float route of `lambda1_cdf_exact` (the Borodin-Okounkov determinant,

@@ -115,20 +115,76 @@ def _entry_law(params):
     return (1 - rho) / (1 - t * rho), math.log(rho), -t / (1 - t)
 
 
+# numpy's SeedSequence hash (O'Neill's seed_seq design) on 32-bit words, and
+# the PCG64 multiplier: `_child_seeds` and `_draw` compute for a whole block
+# what `SeedSequence.spawn` and `default_rng` compute one child at a time
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # entropy mixing
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # generate_state
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _hashmix(value, init, mult, k):
+    """The k-th hashmix of a hash constant that starts at `init`, on uint32 values."""
+    const = init * pow(mult, k, 1 << 32) & _M32
+    value = (value ^ np.uint32(const)) * np.uint32(const * mult & _M32)
+    return value ^ (value >> np.uint32(16))
+
+
+def _mix(x, y):
+    """SeedSequence's mix of the pool word x (an int) with uint32 values y."""
+    value = np.uint32(_MIX_L * x & _M32) - np.uint32(_MIX_R) * y
+    return value ^ (value >> np.uint32(16))
+
+
+def _child_seeds(parent, start, count):
+    """`parent.spawn(...)[i].generate_state(4, np.uint64)` for the children
+    i = start .. start+count-1 of a fresh SeedSequence, as a (count, 4)
+    uint64 array.
+
+    A child hashes the parent's entropy and then its spawn key i as one more
+    32-bit word.  `parent.pool` already holds the first part; by then the
+    hash constant has made 16 + 4 max(0, w - 4) steps, for w entropy words
+    (each int of the entropy gives its own words, at least one).
+    """
+    entropy = parent.entropy
+    ints = [entropy] if isinstance(entropy, (int, np.integer)) else entropy
+    words = sum(max(1, -(-int(x).bit_length() // 32)) for x in ints)
+    steps = 16 + 4 * max(0, words - 4)
+    key = np.arange(start, start + count, dtype=np.uint32)
+    pool = [_mix(int(x), _hashmix(key, _INIT_A, _MULT_A, steps + d))
+            for d, x in enumerate(parent.pool)]
+    state = [_hashmix(pool[j % 4], _INIT_B, _MULT_B, j).astype(np.uint64) for j in range(8)]
+    return np.stack([state[j] | state[j + 1] << np.uint64(32) for j in range(0, 8, 2)], axis=1)
+
+
 def _draw(law, seeds, cells):
-    """(sizes, marks) arrays of shape (len(seeds), cells), one row per seed:
-    each row takes its own generator and two `random(cells)` calls.  A size
-    inverts the law's CDF at u: 0 if u < p0, else the least k with
-    1 - (1 - p0) rho^k > u."""
+    """(sizes, marks) arrays of shape (len(seeds), cells), one row for each
+    row of `seeds`, the four words of a `generate_state(4, np.uint64)`.
+
+    Row r holds what `default_rng` seeded from those words gives in two
+    `random(cells)` calls.  One PCG64 serves every row: it takes each row's
+    state in turn, as numpy's `pcg_setseq_128_srandom_r` sets it from the
+    first two words (initstate) and the last two (initseq), and one
+    `random` call fills the row.  A size inverts the law's CDF at the first
+    u: 0 if u < p0, else the least k with 1 - (1 - p0) rho^k > u; the second
+    u marks a nonzero entry.
+    """
     p0, log_rho, mark_prob = law
-    u = np.empty((len(seeds), 2, cells))
-    for row, seed in zip(u, seeds):
-        rng = np.random.default_rng(seed)
-        rng.random(out=row[0])
-        rng.random(out=row[1])
-    tail = np.floor((np.log1p(-u[:, 0]) - math.log1p(-p0)) / log_rho).astype(np.int64)
-    sizes = np.where(u[:, 0] < p0, 0, 1 + tail)
-    marks = (u[:, 1] < mark_prob) & (sizes > 0)
+    bits = np.random.PCG64(0)
+    rng = np.random.Generator(bits)
+    u = np.empty((len(seeds), 2 * cells))
+    for row, (s0, s1, q0, q1) in zip(u, seeds.tolist()):
+        inc = ((q0 << 64 | q1) << 1 | 1) & _M128
+        state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _M128
+        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
+        rng.random(out=row)
+    size_u, mark_u = u[:, :cells], u[:, cells:]
+    tail = np.floor((np.log1p(-size_u) - math.log1p(-p0)) / log_rho).astype(np.int64)
+    sizes = np.where(size_u < p0, 0, 1 + tail)
+    marks = (mark_u < mark_prob) & (sizes > 0)
     return sizes, marks
 
 
@@ -139,7 +195,8 @@ def sample_matrix(params, seed):
     of MeasureParams(n, m, ...); `sample_lambda1` draws the n x m layout,
     whose shape follows `params`.  At m = n the two coincide.
     """
-    sizes, marks = _draw(_entry_law(params), [seed], params.m * params.n)
+    words = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+    sizes, marks = _draw(_entry_law(params), words[None], params.m * params.n)
     sizes = sizes.reshape(params.m, params.n)
     marks = marks.reshape(params.m, params.n)
     entries = [
@@ -183,24 +240,29 @@ def _first_rows(sizes, marks):
 def sample_lambda1(params, samples, seed):
     """Array of lambda_1 values from `samples` independent seeded draws.
 
-    Each sample uses its own child stream of `seed` (SeedSequence spawning),
-    so results do not depend on evaluation order or block size.  A draw is an
-    n x m matrix: RSK marks its column letters, which carry S_lambda(alpha^m;
-    t), and its rows carry s_lambda(alpha^n).  Draws are taken in blocks of
+    Draw i takes its own stream: `default_rng` of child i of
+    `SeedSequence(seed)`, so results do not depend on evaluation order or
+    block size.  The children's seeds are computed a block at a time
+    (`_child_seeds`), with the same bytes as `spawn`.  A draw is an n x m
+    matrix: RSK marks its column letters, which carry S_lambda(alpha^m; t),
+    and its rows carry s_lambda(alpha^n).  Draws are taken in blocks of
     about `_BLOCK_ENTRIES` entries, so memory stays bounded.
     """
     if samples < 1:
         raise ValueError("samples >= 1")
+    if samples >= 1 << 32:
+        raise ValueError("samples must be below 2**32: each draw's spawn key is "
+                         "hashed as one 32-bit word")
     law = _entry_law(params)
     cells = params.m * params.n
     block = max(1, _BLOCK_ENTRIES // cells)
     parent = np.random.SeedSequence(seed)
     out = np.empty(samples, dtype=np.int64)
     for start in range(0, samples, block):
-        streams = parent.spawn(min(block, samples - start))
-        sizes, marks = _draw(law, streams, cells)
-        shape = (len(streams), params.n, params.m)
-        out[start:start + len(streams)] = _first_rows(sizes.reshape(shape), marks.reshape(shape))
+        count = min(block, samples - start)
+        sizes, marks = _draw(law, _child_seeds(parent, start, count), cells)
+        shape = (count, params.n, params.m)
+        out[start:start + count] = _first_rows(sizes.reshape(shape), marks.reshape(shape))
     return out
 
 

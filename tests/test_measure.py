@@ -1,5 +1,6 @@
 """Measure parameters, entrywise law, sampling, and the lambda_1 CDF."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -107,6 +108,52 @@ def test_sample_lambda1_follows_law_at_m_ne_n():
     draws = sample_lambda1(p, 4000, seed=3)
     dkw = math.sqrt(math.log(2 / 1e-9) / (2 * len(draws)))  # false alarm 1e-9
     assert ks_distance(draws, p, mode="exact") < dkw
+
+
+def _spawned_words(seed, start, count):
+    children = np.random.SeedSequence(seed).spawn(start + count)[start:]
+    return np.stack([c.generate_state(4, np.uint64) for c in children])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63 - 1, 2**64 + 5, 2**200 + 7])
+@pytest.mark.parametrize("start", [0, 163])
+def test_child_seeds_are_numpys_spawned_words(seed, start):
+    # 2**64 + 5 has 3 entropy words, 2**200 + 7 more than the 4-word pool;
+    # a start of 163 is where the second block of a 40 x 40 draw begins
+    got = measure._child_seeds(np.random.SeedSequence(seed), start, 9)
+    assert got.dtype == np.uint64
+    assert np.array_equal(got, _spawned_words(seed, start, 9))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**256 - 1), st.integers(0, 40))
+def test_child_seeds_sweep(seed, start):
+    got = measure._child_seeds(np.random.SeedSequence(seed), start, 3)
+    assert np.array_equal(got, _spawned_words(seed, start, 3))
+
+
+def test_sample_lambda1_bytes_are_pinned():
+    # sha256 of the int64 draws, taken before the seeding was computed in
+    # bulk; (40, 40) crosses blocks of 163 draws
+    cases = [(10, 10, F(2, 5), F(0)), (10, 10, F(4, 5), F(-1)), (3, 30, F(1, 2), F(-1, 2)),
+             (2, 7, F(9, 10), F(-3, 2)), (40, 40, F(1, 2), F(-1))]
+    digest = hashlib.sha256()
+    for case in cases:
+        for seed in (0, 7, 2**70 + 3):
+            digest.update(sample_lambda1(MeasureParams(*case), 500, seed).astype("<i8").tobytes())
+    assert digest.hexdigest() == "9790825fcff6007e129aef4872c3e66ae2d81b5554422f560a11511bcc03c485"
+
+
+def test_sample_lambda1_rejects_samples_beyond_the_spawn_key(monkeypatch):
+    # a spawn key is hashed as one 32-bit word; the check comes before any
+    # allocation or draw
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew")
+
+    monkeypatch.setattr(measure, "_draw", no_draws)
+    monkeypatch.setattr(measure.np, "empty", no_draws)
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        sample_lambda1(MeasureParams(2, 2, F(1, 2), F(-1)), 2**32, seed=0)
 
 
 @st.composite
