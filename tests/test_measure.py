@@ -115,11 +115,12 @@ def _spawned_words(seed, start, count):
     return np.stack([c.generate_state(4, np.uint64) for c in children])
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**63 - 1, 2**64 + 5, 2**200 + 7])
+@pytest.mark.parametrize("seed", [0, 1, 2**63 - 1, 2**64 + 5, 2**200 + 7, [3, 2**40, 0]])
 @pytest.mark.parametrize("start", [0, 163])
 def test_child_seeds_are_numpys_spawned_words(seed, start):
-    # 2**64 + 5 has 3 entropy words, 2**200 + 7 more than the 4-word pool;
-    # a start of 163 is where the second block of a 40 x 40 draw begins
+    # 2**64 + 5 has 3 entropy words, 2**200 + 7 more than the 4-word pool, and
+    # [3, 2**40, 0] exactly 4, one word or more for each int; a start of 163
+    # is where the second block of a 40 x 40 draw begins
     got = measure._child_seeds(np.random.SeedSequence(seed), start, 9)
     assert got.dtype == np.uint64
     assert np.array_equal(got, _spawned_words(seed, start, 9))
