@@ -6,7 +6,10 @@ the Tier-1 wall time, with the git sha they ran at.
 
 Each untraced run is `perfbench/run.py --workload W --seed S --trace 0`, for
 seeds 1..10, each as long as `run_seconds` in BENCHMARK.json; one traced run
-(`--trace 1`, seed 1) follows for each workload.  With `--baseline REV`, the
+(`--trace 1`, seed 1) follows for each workload.  `layer_spans` then holds,
+for each side, the per-round calls, total and self seconds of every traced
+`symfunc` and `rsk` function (perfbench reports only those BENCHMARK.json
+declares), from TRACE_ROUNDS traced rounds of seed 1.  With `--baseline REV`, the
 revision is unpacked with `git archive` into a temporary directory and runs
 the same untraced workloads and Tier-1; the two checkouts alternate seed by
 seed, and which goes first alternates too, so that both meet the same
@@ -32,6 +35,19 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("dist_sample", "converge_tw")
 PAIRS = 10
 SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+TRACE_ROUNDS = 10
+LAYER_TRACE = """
+import json, sys
+sys.path[:0] = ["perfbench", "src"]
+import run
+run._one_blas_thread()
+import tracing, workloads as W
+ops = W.build(sys.argv[1], 1, W.References())
+rounds = [run.run_isolated(ops, tracing.Tracer())[1] for _ in range(int(sys.argv[2]))]
+spans, _ = run.merge_summaries(rounds)
+print(json.dumps({k: {f: v / len(rounds) for f, v in rec.items()} for k, rec in spans.items()
+                  if k.split(".")[0] in ("symfunc", "rsk")}, sort_keys=True))
+"""
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"]
 
@@ -63,6 +79,16 @@ def perfbench(checkout, workload, seed, trace):
     out["env"] = next((json.loads(l[4:]) for l in lines if l.startswith("env ")), None)
     out["metrics"] = {k: m["value"] for k, m in out["metrics"].items()}
     return out
+
+
+def layer_spans(checkout, workload):
+    """Per-round span totals of the `symfunc` and `rsk` functions in `checkout`."""
+    res = subprocess.run([sys.executable, "-c", LAYER_TRACE, workload, str(TRACE_ROUNDS)],
+                         cwd=checkout, capture_output=True, text=True)
+    if res.returncode != 0:
+        raise RuntimeError(f"{checkout}: layer trace of {workload} exited {res.returncode}\n"
+                           f"{res.stderr[-2000:]}")
+    return json.loads(res.stdout.strip().splitlines()[-1])
 
 
 def timed(checkout, argv):
@@ -132,6 +158,8 @@ def bench(args, sides):
                 for name in runs["change"][0]["metrics"]}
         print(f"change {workload} traced", file=sys.stderr)
         entry["traced"] = perfbench(ROOT, workload, 1, 1)
+        entry["layer_spans"] = {side: layer_spans(checkout, workload)
+                                for side, checkout in sides.items()}
         doc["workloads"][workload] = entry
     doc["tier1"] = {side: timed(checkout, TIER1) for side, checkout in sides.items()}
     return doc

@@ -73,6 +73,12 @@ def _measure_params(args):
     return MeasureParams(args.m, args.n, _parse_rational(args.alpha), _parse_rational(args.t))
 
 
+def _input_error(exc):
+    """Report bad input on one line of standard error, as a usage error."""
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
+
+
 def cmd_rsk(args):
     if args.matrix is not None:
         text = args.matrix
@@ -84,8 +90,7 @@ def cmd_rsk(args):
     try:
         a = PMatrix.from_text(text)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _input_error(exc)
     w = biword_from_matrix(a)
     s, u = rsk(a)
     lam = s.shape()
@@ -110,7 +115,10 @@ def cmd_rsk(args):
 
 
 def cmd_dist(args):
-    params = _measure_params(args)
+    try:
+        params = _measure_params(args)
+    except ValueError as exc:
+        return _input_error(exc)
     meta = {
         "command": "dist", "m": args.m, "n": args.n, "alpha": args.alpha,
         "t": args.t, "h_max": args.h_max, "mode": args.mode,
@@ -127,8 +135,12 @@ def cmd_dist(args):
 
 
 def cmd_sample(args):
-    params = _measure_params(args)
-    vals = sample_lambda1(params, args.samples, args.seed)
+    try:
+        if args.seed < 0:
+            raise ValueError("seed must be a nonnegative integer")
+        vals = sample_lambda1(_measure_params(args), args.samples, args.seed)
+    except ValueError as exc:
+        return _input_error(exc)
     h_max = int(vals.max()) + 1
     grid = np.arange(h_max + 1)
     counts = np.bincount(vals, minlength=h_max + 1)

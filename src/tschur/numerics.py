@@ -374,11 +374,11 @@ def bo_cdf(params, h, N=None):
 
 
 def default_section(params):
-    """Tail size keeping the neglected Hankel block below ~1e-12.
-
-    Two regimes: geometric decay of the coefficients (rate alpha, or
-    t*alpha), and the Airy transition window of width ~ n^(1/3) that the
-    section must clear before that decay kicks in.
+    """Tail size max(60, ceil(10 / log(1/a)), ceil(16 max(m,n)^(1/3))), with
+    a = alpha max(1, |t|): the decay rate of the coefficients, then the Airy
+    window of width ~ n^(1/3) that the section must clear before that decay
+    sets in.  It carries no certified bound: a^(10/log(1/a)) = e^-10 for one
+    neglected entry, before a factor polynomial in k of degree n - 1.
     """
     a = float(params.alpha) * max(1.0, abs(float(params.t)))
     if a >= 1:

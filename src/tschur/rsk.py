@@ -1,11 +1,12 @@
 """Marked alphabet, P-matrices, biwords and the generalized RSK correspondence.
 
 The alphabet is the chain 1' < 1 < 2' < 2 < ... ; primed letters are "marked",
-and a letter is the integer of its place in the chain.  Insertion uses BUMP
-(strict comparison) for unmarked letters and EQBUMP (weak comparison) for
-marked letters, one bisection per row, and the first row of the common shape
-of the output pair equals the longest increasing subsequence length of the
-biword.
+and a letter is the integer x of its place in the chain: marked when x & 1,
+of value (x + 1) >> 1.  The algorithms move these plain ints; an `Entry` is
+built only where the API hands a letter out.  Insertion uses BUMP (strict
+comparison) for unmarked letters and EQBUMP (weak comparison) for marked
+letters, one bisection per row, and the first row of the common shape of the
+output pair equals the longest increasing subsequence length of the biword.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from functools import partial
 
 from .partitions import Partition
 
@@ -56,16 +58,19 @@ class Entry(int):
         return cls(int(token), False)
 
 
+_entry = partial(int.__new__, Entry)  # the Entry of a chain int, unchecked
+
+
 def _row_step(a, b):
     """May b follow a along a row (or in a biword block)?  Weakly increasing,
     and a letter repeats only unmarked."""
-    return a < b or (a == b and not a.marked)
+    return a < b or (a == b and not a & 1)
 
 
 def _col_step(a, b):
     """May b sit below a in a column?  Weakly increasing, and a letter
     repeats only marked."""
-    return a < b or (a == b and a.marked)
+    return a < b or (a == b and a & 1)
 
 
 class PMatrix:
@@ -130,33 +135,39 @@ class PMatrix:
 
 
 class Biword:
-    """Two-line array: weakly increasing uppers over marked-alphabet lowers."""
+    """Two-line array: weakly increasing uppers over marked-alphabet lowers,
+    held as two int lists (the lowers as chain ints)."""
 
     def __init__(self, pairs):
-        self.pairs = [(int(u), low) for (u, low) in pairs]
-        for _, low in self.pairs:
-            if not isinstance(low, Entry):
-                raise TypeError("lower line must consist of alphabet letters")
+        pairs = [(int(u), low) for (u, low) in pairs]
+        if not all(isinstance(low, Entry) for _, low in pairs):
+            raise TypeError("lower line must consist of alphabet letters")
+        self.upper = [u for u, _ in pairs]
+        self.lower = [int(low) for _, low in pairs]
+
+    @classmethod
+    def _of(cls, upper, lower):
+        w = cls.__new__(cls)
+        w.upper, w.lower = upper, lower
+        return w
 
     def __len__(self):
-        return len(self.pairs)
+        return len(self.upper)
 
     def __iter__(self):
-        return iter(self.pairs)
+        return zip(self.upper, map(_entry, self.lower))
 
     def __eq__(self, other):
-        return isinstance(other, Biword) and self.pairs == other.pairs
+        return isinstance(other, Biword) and (self.upper, self.lower) == (other.upper, other.lower)
 
     def uppers(self):
-        return [u for u, _ in self.pairs]
+        return list(self.upper)
 
     def lowers(self):
-        return [a for _, a in self.pairs]
+        return [_entry(a) for a in self.lower]
 
     def __repr__(self):
-        up = " ".join(str(u) for u, _ in self.pairs)
-        lo = " ".join(str(a) for _, a in self.pairs)
-        return f"Biword({up} / {lo})"
+        return f"Biword({' '.join(map(str, self.upper))} / {' '.join(map(str, self.lowers()))})"
 
 
 class _Tableau:
@@ -187,6 +198,9 @@ class MarkedTableau(_Tableau):
     """Filling of a Young diagram by the marked alphabet obeying T1 and T2."""
 
     _value = operator.attrgetter("value")
+
+    def __init__(self, rows=()):
+        super().__init__(map(_entry, r) for r in rows)
 
     def mark(self):
         return sum(1 for row in self.rows for e in row if e.marked)
@@ -222,54 +236,39 @@ def validate_recording_tableau(t):
 
 
 def validate_biword(w):
-    """Check the upper-line ordering, block conditions and the marking rule."""
-    pairs = w.pairs
-    for (u1, a1), (u2, a2) in zip(pairs, pairs[1:]):
-        if u1 > u2 or (u1 == u2 and not _row_step(a1, a2)):
-            return False
-    # within a fixed (upper, |lower|) group only the first letter may be marked
-    seen_group = set()
-    for u, a in pairs:
-        group = (u, a.value)
-        if a.marked:
-            if group in seen_group:
-                return False
-        seen_group.add(group)
-    return True
+    """Check the upper-line ordering and the block conditions.  These imply
+    the marking rule, that only the first letter of an (upper, value) group
+    may be marked: a marked k' can follow neither k' nor k in a block."""
+    up, low = w.upper, w.lower
+    return all(u1 < u2 or (u1 == u2 and _row_step(a1, a2))
+               for u1, u2, a1, a2 in zip(up, up[1:], low, low[1:]))
 
 
 def biword_from_matrix(a):
     """Read the matrix row-major: (i,j) repeated |a_ij| times, first copy marked."""
-    pairs = []
-    for i in range(a.m):
-        for j in range(a.n):
-            e = a.entries[i][j]
-            if e is None:
-                continue
-            pairs.append((i + 1, Entry(j + 1, e.marked)))
-            for _ in range(e.value - 1):
-                pairs.append((i + 1, Entry(j + 1, False)))
-    return Biword(pairs)
+    upper, lower = [], []
+    for i, row in enumerate(a.entries, 1):
+        for j, e in enumerate(row):
+            if e is not None:
+                count, letter = (e + 1) >> 1, 2 * j + 2
+                upper += [i] * count
+                lower += [letter - (e & 1)] + [letter] * (count - 1)
+    return Biword._of(upper, lower)
 
 
 def matrix_from_biword(w, m, n):
     """Inverse of biword_from_matrix; rejects words outside the valid image."""
     if not validate_biword(w):
         raise ValueError("invalid biword")
-    counts = {}
-    marked = {}
-    for u, a in w.pairs:
-        if u > m or a.value > n:
+    entries = [[0] * n for _ in range(m)]
+    for u, a in zip(w.upper, w.lower):
+        j = (a + 1) >> 1
+        if u > m or j > n:
             raise ValueError("biword letter exceeds matrix dimensions")
-        key = (u, a.value)
-        counts[key] = counts.get(key, 0) + 1
-        if a.marked:
-            marked[key] = True
-    entries = [[None] * n for _ in range(m)]
-    for (i, j), cnt in counts.items():
-        entries[i - 1][j - 1] = Entry(cnt, marked.get((i, j), False))
-    # entry magnitude is the multiplicity, with the group's mark if any
-    return PMatrix(entries)
+        # a group is contiguous, its first letter alone marked: count up from it
+        e = entries[u - 1][j - 1]
+        entries[u - 1][j - 1] = e + 2 if e else 2 - (a & 1)
+    return PMatrix([[_entry(e) if e else None for e in row] for row in entries])
 
 
 def _bump(rows, letter):
@@ -277,7 +276,7 @@ def _bump(rows, letter):
     cell.  A marked letter bumps the leftmost entry >= it (EQBUMP), an
     unmarked one the leftmost entry > it (BUMP)."""
     for r, row in enumerate(rows):
-        pos = (bisect_left if letter.marked else bisect_right)(row, letter)
+        pos = (bisect_left if letter & 1 else bisect_right)(row, letter)
         if pos == len(row):
             row.append(letter)
             return r, pos
@@ -294,15 +293,14 @@ def insert(tableau, alpha):
 
 def rsk(a):
     """Generalized RSK: P-matrix -> (insertion tableau, recording tableau)."""
-    s = MarkedTableau()
-    u = RecordingTableau()
-    for upper, lower in biword_from_matrix(a):
-        r, _ = _bump(s.rows, lower)
+    w = biword_from_matrix(a)
+    rows, u = [], RecordingTableau()
+    for upper, lower in zip(w.upper, w.lower):
+        r, _ = _bump(rows, lower)
         if r == len(u.rows):
-            u.rows.append([upper])
-        else:
-            u.rows[r].append(upper)
-    return s, u
+            u.rows.append([])
+        u.rows[r].append(upper)
+    return MarkedTableau(rows), u
 
 
 class InverseRSKError(ValueError):
@@ -320,7 +318,7 @@ def _reverse_insert(rows, start_row):
     if not rows[start_row]:
         rows.pop()
     for row in reversed(rows[:start_row]):
-        pos = (bisect_right if gamma.marked else bisect_left)(row, gamma) - 1
+        pos = (bisect_right if gamma & 1 else bisect_left)(row, gamma) - 1
         if pos < 0:
             raise InverseRSKError("no reverse bump candidate; pair not in the image")
         gamma, row[pos] = row[pos], gamma
@@ -340,20 +338,19 @@ def inverse_rsk(s, u, m=None, n=None):
         raise InverseRSKError("invalid recording tableau")
     cells = [(u.rows[r][c], c, r) for r in range(len(u.rows)) for c in range(len(u.rows[r]))]
     cells.sort(reverse=True)  # by (value, column) descending
-    rows = [list(r) for r in s.rows]
-    pairs = []
+    rows = [list(map(int, r)) for r in s.rows]
+    upper, lower = [], []
     for value, c, r in cells:
         # the cell being removed must currently be the last of its row
         if r >= len(rows) or len(rows[r]) != c + 1:
             raise InverseRSKError("recording entries do not peel off corners")
-        alpha = _reverse_insert(rows, r)
-        pairs.append((value, alpha))
-    pairs.reverse()
-    w = Biword(pairs)
+        upper.append(value)
+        lower.append(_reverse_insert(rows, r))
+    w = Biword._of(upper[::-1], lower[::-1])
     if m is None:
-        m = max((up for up, _ in pairs), default=1)
+        m = max(upper, default=1)
     if n is None:
-        n = max((a.value for _, a in pairs), default=1)
+        n = (max(lower, default=1) + 1) >> 1
     return matrix_from_biword(w, m, n)
 
 
@@ -366,7 +363,7 @@ def _lis_keys(letters):
     """
     tails = []
     for a in letters:
-        pos = (bisect_left if a.marked else bisect_right)(tails, a)
+        pos = (bisect_left if a & 1 else bisect_right)(tails, a)
         if pos == len(tails):
             tails.append(a)
         else:
@@ -376,4 +373,4 @@ def _lis_keys(letters):
 
 def longest_increasing(w):
     """Length of the longest increasing subsequence of the lower line."""
-    return _lis_keys(w.lowers())
+    return _lis_keys(w.lower)

@@ -68,14 +68,25 @@ def gen_h_coeffs(variables, t, nmax):
 
 
 def _specialized_coeffs(variables, t, nmax, sign):
-    """The recurrence of E (sign 1) or H (sign -1) at x_1 = ... = x_m = x."""
+    """The recurrence of E (sign 1) or H (sign -1) at x_1 = ... = x_m = x.
+    Rational x and t run it on the integers E_l = l! D^l e_l, D = den(x) den(t):
+    E_{l+1} = (A - B l) E_l - C (l-1) l E_{l-1}, A = aD, B = bD, C = cD^2, and
+    normalise each e_l once; floats, whose bits a Fraction would not keep, run
+    the scalar loop."""
     m, x = variables.count, variables.value
-    if isinstance(x, int):
-        x = Fraction(x)  # keep the divisions by l+1 exact
-    a, b, c = m * x * (1 - t), sign * (1 + t) * x, t * x * x
-    e = [1, a]
+    if not (isinstance(x, (int, Fraction)) and isinstance(t, (int, Fraction))):
+        a, b, c = m * x * (1 - t), sign * (1 + t) * x, t * x * x
+        e = [1, a]
+        for l in range(1, nmax):
+            e.append(((a - b * l) * e[l] - c * (l - 1) * e[l - 1]) / (l + 1))
+        return TruncatedSeries(e, nmax)
+    d = x.denominator * t.denominator
+    A, B, C = (int(v) for v in (m * x * (1 - t) * d, sign * (1 + t) * x * d, t * x * x * d * d))
+    big, e, scale = [1, A], [1, Fraction(A, d)], d
     for l in range(1, nmax):
-        e.append(((a - b * l) * e[l] - c * (l - 1) * e[l - 1]) / (l + 1))
+        big.append((A - B * l) * big[l] - C * (l - 1) * l * big[l - 1])
+        scale *= (l + 1) * d
+        e.append(Fraction(big[l + 1], scale))
     return TruncatedSeries(e, nmax)
 
 

@@ -43,6 +43,20 @@ def test_rsk_reads_stdin_and_rejects_garbage():
     assert "bad token" in bad.stderr
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("sample --m 2 --n 2 --alpha 1/2 --samples 0 --seed 1", "samples >= 1"),
+    ("sample --m 2 --n 2 --alpha 1/2 --samples 5 --seed -1", "seed must be a nonnegative"),
+    ("dist --m 0 --n 2 --alpha 1/2 --h-max 3", "m and n must be positive"),
+    ("dist --m 2 --n 2 --alpha 3/2 --h-max 3", "alpha must lie in (0, 1)"),
+])
+def test_bad_measure_input_is_a_usage_error(argv, message, capsys):
+    from tschur.cli import main
+
+    assert main(argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
 def test_dist_csv_and_metadata():
     res = run_cli(
         "dist", "--m", "2", "--n", "2", "--alpha", "1/2", "--t=-1", "--h-max", "3"

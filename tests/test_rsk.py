@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tschur.measure import MeasureParams, sample_matrix
 from tschur.rsk import (
@@ -99,6 +101,49 @@ def test_worked_example_rsk():
     assert tuple(s.shape().parts) == (6, 2, 2)
     assert longest_increasing(biword_from_matrix(a)) == 6
     assert inverse_rsk(s, u, 3, 3) == a
+
+
+def test_api_edge_hands_out_entries():
+    # the algorithms move chain ints; every letter they hand out is an Entry
+    a = PMatrix.from_text(EXAMPLE_TEXT)
+    w = biword_from_matrix(a)
+    s, u = rsk(a)
+    back = inverse_rsk(s, u, 3, 3)
+    for letters in ([low for _, low in w], w.lowers(), [e for row in s.rows for e in row],
+                    [e for row in back.entries for e in row if e is not None]):
+        assert all(type(e) is Entry for e in letters)
+        assert [(e.value, e.marked) for e in letters] == [
+            (int(str(e).rstrip("'")), str(e).endswith("'")) for e in letters]
+    assert [(up, str(low)) for up, low in w] == list(zip(
+        [1, 1, 1, 2, 2, 2, 2, 2, 3, 3], "1' 3 3 1 1 2 3' 3 1' 2'".split()))
+    assert Biword(list(w)) == w and repr(w) == "Biword(1 1 1 2 2 2 2 2 3 3 / 1' 3 3 1 1 2 3' 3 1' 2')"
+    assert [str(e) for row in back.entries for e in row if e] == "1' 2 2 1 2' 1' 1'".split()
+    t, cell = insert(s, E("2'"))
+    assert cell == (3, 0) and [[str(e) for e in row] for row in t.rows] == [
+        ["1'", "1", "1", "2'", "3'", "3"], ["1'", "2'"], ["2", "3"], ["3"]]
+    assert all(type(e) is Entry for row in t.rows for e in row)
+
+
+_LETTERS = st.one_of(st.none(), st.builds(Entry, st.integers(1, 6), st.booleans()))
+
+
+@st.composite
+def _marked_matrices(draw):
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    return PMatrix([[draw(_LETTERS) for _ in range(n)] for _ in range(m)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_marked_matrices())
+def test_round_trip_sweep(a):
+    w = biword_from_matrix(a)
+    assert validate_biword(w) and matrix_from_biword(w, a.m, a.n) == a
+    s, u = rsk(a)
+    assert validate_marked_tableau(s) and validate_recording_tableau(u)
+    assert s.mark() == a.mark() and longest_increasing(w) == s.shape().first_row()
+    back = inverse_rsk(s, u, a.m, a.n)
+    assert back == a and back.to_text() == a.to_text()
+    assert all(type(e) is Entry for row in back.entries for e in row if e is not None)
 
 
 def test_eqbump_vs_bump():

@@ -4,6 +4,8 @@ oracle, and the Cauchy identity."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tschur.partitions import Partition, partitions
 from tschur.symfunc import (
@@ -51,6 +53,29 @@ def test_gen_e_list_matches_specialized():
         by_list = gen_e_coeffs([0.37] * 5, float(t), 20)
         by_spec = gen_e_coeffs(SpecializedVars(5, 0.37), float(t), 20)
         assert by_spec.coeffs == pytest.approx([by_list.coeff(k) for k in range(21)], rel=1e-12)
+
+
+def _fraction_recurrence(m, x, t, nmax, sign):
+    """`gen_e_coeffs`'s recurrence (sign 1) or `gen_h_coeffs`'s (sign -1) in
+    Fractions, normalised at every step."""
+    a, b, c = m * x * (1 - t), sign * (1 + t) * x, t * x * x
+    e = [F(1), a]
+    for l in range(1, nmax):
+        e.append(((a - b * l) * e[l] - c * (l - 1) * e[l - 1]) / (l + 1))
+    return e[: nmax + 1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=st.one_of(st.just(1), st.fractions(0, 1, max_denominator=60).filter(lambda v: v > 0)),
+       t=st.one_of(st.sampled_from([0, F(-1, 2), -1, F(-3, 2)]),
+                   st.fractions(-3, 0, max_denominator=60)),
+       m=st.integers(0, 30), nmax=st.integers(0, 60))
+def test_rational_recurrence_matches_fraction_steps(x, t, m, nmax):
+    # the integer recurrence over l! D^l against the step-by-step Fractions
+    for gen, sign in ((gen_e_coeffs, 1), (gen_h_coeffs, -1)):
+        coeffs = gen(SpecializedVars(m, x), t, nmax).coeffs
+        assert coeffs == _fraction_recurrence(m, F(x), F(t), nmax, sign)
+        assert all(type(c) is F for c in coeffs[1:])
 
 
 def test_gen_e_rejects_negative_order():
