@@ -1,12 +1,11 @@
 """Marked alphabet, P-matrices, biwords and the generalized RSK correspondence.
 
-The alphabet is the chain 1' < 1 < 2' < 2 < ... ; primed letters are "marked",
-and a letter is the integer x of its place in the chain: marked when x & 1,
-of value (x + 1) >> 1.  The algorithms move these plain ints; an `Entry` is
-built only where the API hands a letter out.  Insertion uses BUMP (strict
-comparison) for unmarked letters and EQBUMP (weak comparison) for marked
-letters, one bisection per row, and the first row of the common shape of the
-output pair equals the longest increasing subsequence length of the biword.
+The alphabet is the chain 1' < 1 < 2' < 2 < ... ; primed letters are "marked".
+The algorithms move a letter as the plain int x of its place in the chain,
+marked when x & 1 and of value (x + 1) >> 1; an `Entry` is built only where the
+API hands a letter out.  Insertion is BUMP (strict) for unmarked letters and
+EQBUMP (weak) for marked ones, one bisection per row, and the output shape's
+first row is the longest increasing subsequence length of the biword.
 """
 
 from __future__ import annotations
@@ -139,11 +138,10 @@ class Biword:
     held as two int lists (the lowers as chain ints)."""
 
     def __init__(self, pairs):
-        pairs = [(int(u), low) for (u, low) in pairs]
+        pairs = list(pairs)
         if not all(isinstance(low, Entry) for _, low in pairs):
             raise TypeError("lower line must consist of alphabet letters")
-        self.upper = [u for u, _ in pairs]
-        self.lower = [int(low) for _, low in pairs]
+        self.upper, self.lower = [int(u) for u, _ in pairs], [int(a) for _, a in pairs]
 
     @classmethod
     def _of(cls, upper, lower):
@@ -263,8 +261,8 @@ def matrix_from_biword(w, m, n):
     entries = [[0] * n for _ in range(m)]
     for u, a in zip(w.upper, w.lower):
         j = (a + 1) >> 1
-        if u > m or j > n:
-            raise ValueError("biword letter exceeds matrix dimensions")
+        if not 0 < u <= m or j > n:
+            raise ValueError("biword letter outside the matrix dimensions")
         # a group is contiguous, its first letter alone marked: count up from it
         e = entries[u - 1][j - 1]
         entries[u - 1][j - 1] = e + 2 if e else 2 - (a & 1)

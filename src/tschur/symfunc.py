@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 
 from .partitions import partitions
 from .rsk import Entry, MarkedTableau, _col_step, _row_step, validate_marked_tableau
@@ -74,12 +75,13 @@ def _specialized_coeffs(variables, t, nmax, sign):
     normalise each e_l once; floats, whose bits a Fraction would not keep, run
     the scalar loop."""
     m, x = variables.count, variables.value
-    if not (isinstance(x, (int, Fraction)) and isinstance(t, (int, Fraction))):
+    if not (isinstance(x, Rational) and isinstance(t, Rational)):
         a, b, c = m * x * (1 - t), sign * (1 + t) * x, t * x * x
         e = [1, a]
         for l in range(1, nmax):
             e.append(((a - b * l) * e[l] - c * (l - 1) * e[l - 1]) / (l + 1))
         return TruncatedSeries(e, nmax)
+    x, t = Fraction(x), Fraction(t)
     d = x.denominator * t.denominator
     A, B, C = (int(v) for v in (m * x * (1 - t) * d, sign * (1 + t) * x * d, t * x * x * d * d))
     big, e, scale = [1, A], [1, Fraction(A, d)], d

@@ -179,6 +179,13 @@ def test_biword_marking_rule():
         matrix_from_biword(bad, 1, 2)
 
 
+@pytest.mark.parametrize("pairs", [[(0, E("1"))], [(3, E("1"))], [(1, E("3'"))]])
+def test_matrix_from_biword_rejects_letters_outside_the_matrix(pairs):
+    # an upper 0 must not wrap round to the last row
+    with pytest.raises(ValueError, match="outside the matrix"):
+        matrix_from_biword(Biword(pairs), 2, 2)
+
+
 def _all_matrices_2x2(max_abs):
     letters = [None] + [
         Entry(v, mk) for v in range(1, max_abs + 1) for mk in (False, True)
