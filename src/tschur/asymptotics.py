@@ -74,26 +74,18 @@ def _bisect(f, xa, xb, xtol, rtol):
     raise RuntimeError("bisection did not converge in 100 iterations")
 
 
-def sigma_prime(z, alpha, tau, t, c):
-    # partial fractions: tau*alpha*(1-t)/((z-a)(z-ta)) = tau/(z-a) - tau/(z-ta)
-    return tau / (z - alpha) - tau / (z - t * alpha) + alpha / (1 - alpha * z) - c / z
-
-
-def sigma_second(z, alpha, tau, t, c):
+def sigma_derivative(order, z, alpha, tau, t, c):
+    """The k-th derivative of sigma at z, k = order >= 1, from the partial
+    fractions sigma' = tau/(z-alpha) - tau/(z-t*alpha) + alpha/(1-alpha*z) - c/z
+    (tau*alpha*(1-t)/((z-alpha)(z-t*alpha)) splits into the first two)."""
+    k = order
+    fk = math.factorial(k - 1)
+    s = (-1) ** (k - 1) * fk
     return (
-        -tau / (z - alpha) ** 2
-        + tau / (z - t * alpha) ** 2
-        + alpha ** 2 / (1 - alpha * z) ** 2
-        + c / z ** 2
-    )
-
-
-def sigma_third(z, alpha, tau, t, c):
-    return (
-        2 * tau / (z - alpha) ** 3
-        - 2 * tau / (z - t * alpha) ** 3
-        + 2 * alpha ** 3 / (1 - alpha * z) ** 3
-        - 2 * c / z ** 3
+        s * tau / (z - alpha) ** k
+        - s * tau / (z - t * alpha) ** k
+        + fk * alpha ** k / (1 - alpha * z) ** k
+        - s * c / z ** k
     )
 
 
@@ -119,7 +111,7 @@ def constants(alpha, tau, t):
     c = alpha * z0 * (
         tau * (1 - t) / ((z0 - alpha) * (z0 - t * alpha)) + 1.0 / (1.0 - alpha * z0)
     )
-    s3 = sigma_third(z0, alpha, tau, t, c)
+    s3 = sigma_derivative(3, z0, alpha, tau, t, c)
     if c <= 0 or s3 <= 0:
         raise ArithmeticError("saddle data violates positivity")
     g = (2.0 / s3) ** (1.0 / 3.0) / z0

@@ -60,23 +60,18 @@ def _emit(path, meta, header, rows):
         _write_rows(stream, meta, header, rows)
 
 
-def _parse_rational(text):
-    """Exact scalar from '2/5', '0.4', or '-1' (decimal strings are exact)."""
-    return Fraction(text)
-
-
 def _parse_grid(text, cast=float):
     return [cast(tok) for tok in text.replace(",", " ").split()]
 
 
 def _measure_params(args):
-    return MeasureParams(args.m, args.n, _parse_rational(args.alpha), _parse_rational(args.t))
+    """MeasureParams with exact alpha and t: '2/5', '0.4' and '-1' all parse exactly."""
+    return MeasureParams(args.m, args.n, Fraction(args.alpha), Fraction(args.t))
 
 
-def _input_error(exc):
-    """Report bad input on one line of standard error, as a usage error."""
-    print(f"error: {exc}", file=sys.stderr)
-    return 2
+def _saddle_params(args):
+    """(alpha, tau, t) as the doubles nearest the exact values of the flags."""
+    return tuple(float(Fraction(v)) for v in (args.alpha, args.tau, args.t))
 
 
 def cmd_rsk(args):
@@ -87,10 +82,7 @@ def cmd_rsk(args):
             text = fh.read()
     else:
         text = sys.stdin.read()
-    try:
-        a = PMatrix.from_text(text)
-    except ValueError as exc:
-        return _input_error(exc)
+    a = PMatrix.from_text(text)
     w = biword_from_matrix(a)
     s, u = rsk(a)
     lam = s.shape()
@@ -115,10 +107,9 @@ def cmd_rsk(args):
 
 
 def cmd_dist(args):
-    try:
-        params = _measure_params(args)
-    except ValueError as exc:
-        return _input_error(exc)
+    params = _measure_params(args)
+    if args.h_max < 0:
+        raise ValueError("h-max must be nonnegative")
     meta = {
         "command": "dist", "m": args.m, "n": args.n, "alpha": args.alpha,
         "t": args.t, "h_max": args.h_max, "mode": args.mode,
@@ -135,12 +126,9 @@ def cmd_dist(args):
 
 
 def cmd_sample(args):
-    try:
-        if args.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
-        vals = sample_lambda1(_measure_params(args), args.samples, args.seed)
-    except ValueError as exc:
-        return _input_error(exc)
+    if args.seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
+    vals = sample_lambda1(_measure_params(args), args.samples, args.seed)
     h_max = int(vals.max()) + 1
     grid = np.arange(h_max + 1)
     counts = np.bincount(vals, minlength=h_max + 1)
@@ -157,9 +145,7 @@ def cmd_sample(args):
 def cmd_constants(args):
     from .asymptotics import constants
 
-    alpha = float(_parse_rational(args.alpha))
-    tau = float(_parse_rational(args.tau))
-    t = float(_parse_rational(args.t))
+    alpha, tau, t = _saddle_params(args)
     data = constants(alpha, tau, t)
     record = {
         "alpha": alpha, "tau": tau, "t": t,
@@ -185,9 +171,7 @@ def cmd_tw(args):
 def cmd_converge(args):
     from .asymptotics import convergence_experiment
 
-    alpha = float(_parse_rational(args.alpha))
-    tau = float(_parse_rational(args.tau))
-    t = float(_parse_rational(args.t))
+    alpha, tau, t = _saddle_params(args)
     n_list = sorted(_parse_grid(args.n_list, cast=int))
     s_grid = sorted(_parse_grid(args.s_grid))
     rows, summary = convergence_experiment(
@@ -289,7 +273,11 @@ def main(argv=None):
     p.set_defaults(func=cmd_verify)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # bad input: one line of standard error, a usage error
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

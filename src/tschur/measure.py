@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 
 import numpy as np
 
@@ -20,10 +21,6 @@ from .rsk import Entry, PMatrix
 from .symfunc import SpecializedVars, schur_S_t, schur_s, weights_by_size
 
 _BLOCK_ENTRIES = 1 << 18  # matrix entries drawn at once by `sample_lambda1`
-
-
-def _is_exactish(x):
-    return isinstance(x, (int, Fraction))
 
 
 @dataclass(frozen=True)
@@ -53,7 +50,8 @@ class MeasureParams:
 
     @property
     def exact(self):
-        return _is_exactish(self.alpha)
+        """Whether alpha and t are rational, as the exact routes need."""
+        return isinstance(self.alpha, Rational) and isinstance(self.t, Rational)
 
 
 @dataclass(frozen=True)
@@ -286,11 +284,10 @@ def lambda1_cdf_exact(params, h, mode="auto"):
     hs = [h] if single else list(h)
     if any(hh < 0 for hh in hs):
         raise ValueError("h must be nonnegative")
-    exact_ok = params.exact and _is_exactish(params.t)
-    if mode == "exact" and not exact_ok:
+    if mode == "exact" and not params.exact:
         raise ValueError("the exact route (Toeplitz determinant over the rationals) "
                          "needs rational alpha and t; pass Fractions")
-    exact = [mode == "exact" or (mode == "auto" and exact_ok and hh <= 6) for hh in hs]
+    exact = [mode == "exact" or (mode == "auto" and params.exact and hh <= 6) for hh in hs]
     floats = [hh for hh, ex in zip(hs, exact) if not ex]
     exacts = [hh for hh, ex in zip(hs, exact) if ex]
     float_vals = iter(numerics.bo_cdf(params, floats) if floats else [])
@@ -331,12 +328,9 @@ def empirical_cdf(values, h_grid):
     return np.searchsorted(values, h_grid, side="right") / len(values)
 
 
-def ks_distance(values, params, h_max=None, mode="float"):
-    """sup_h |empirical CDF - exact CDF| over the integer support."""
-    values = np.asarray(values)
-    if h_max is None:
-        h_max = int(values.max()) + 2
-    grid = np.arange(h_max + 1)
-    emp = empirical_cdf(values, grid)
-    exact = np.array([float(v) for v in lambda1_cdf_exact(params, range(h_max + 1), mode=mode)])
+def ks_distance(values, params, mode="float"):
+    """sup_h |empirical CDF - exact CDF| over h = 0 .. max(values) + 2."""
+    hs = range(int(np.max(values)) + 3)
+    emp = empirical_cdf(values, hs)
+    exact = np.array([float(v) for v in lambda1_cdf_exact(params, hs, mode=mode)])
     return float(np.max(np.abs(emp - exact)))

@@ -20,6 +20,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 
 import numpy as np
 
@@ -152,7 +153,7 @@ def _leading_minors(sym, h):
     det T_k = d_k / D^k.
     """
     entries = [sym.coeff(k) for k in range(1 - h, h)]
-    if not all(isinstance(v, (int, Fraction)) for v in entries):
+    if not all(isinstance(v, Rational) for v in entries):
         raise ValueError("the exact Toeplitz determinant needs rational symbol coefficients")
     a = Fraction(sym.scale)
     entries = [Fraction(v) * a ** k for k, v in zip(range(1 - h, h), entries)]
@@ -334,38 +335,35 @@ def hankel_symbols(params, kmin, kmax):
     return psi1, psi2
 
 
-def bo_cdf(params, h, N=None):
+def bo_cdf(params, h):
     """P(lambda_1 <= h) by the finite-section Fredholm determinant
-    det(I - H1 H2) restricted to indices h..N-1.
+    det(I - H1 H2) restricted to indices h..N-1, N = h + `default_section`.
 
     `h` may be an int (returns a float) or a sequence of ints (returns a
     list with one float per h).  The Hankel entries come from one
     `hankel_symbols` build over [min h + 1, max 2N - 1]; every section is a
     slice of it, and the entries do not depend on the window, so the values
-    match single calls bit for bit.  `N`, if given, is the section end for
-    every h.  The sign-diagonal conjugation by J leaves the determinant
-    unchanged, so it is not applied explicitly.  A determinant outside
-    [0, 1] by more than _CDF_TOL raises ArithmeticError; inside, the value
-    is returned as computed, not clamped.
+    match single calls bit for bit.  The sign-diagonal conjugation by J
+    leaves the determinant unchanged, so it is not applied explicitly.  A
+    determinant outside [0, 1] by more than _CDF_TOL raises ArithmeticError;
+    inside, the value is returned as computed, not clamped.
     """
     single = np.ndim(h) == 0
     hs = [h] if single else list(h)
     if not hs:
         return []
-    section = default_section(params) if N is None else None
-    ends = [N if N is not None else hh + section for hh in hs]
-    if any(end <= hh for hh, end in zip(hs, ends)):
-        raise ValueError("N must exceed h")
+    section = default_section(params)
     base = min(hs) + 1
-    psi1, psi2 = hankel_symbols(params, base, max(2 * end - 1 for end in ends))
+    psi1, psi2 = hankel_symbols(params, base, 2 * (max(hs) + section) - 1)
     vals = []
-    for hh, end in zip(hs, ends):
+    for hh in hs:
+        end = hh + section
         rows = np.arange(hh, end)
         inner = np.arange(end)
         hank1 = psi1[rows[:, None] + inner[None, :] + 1 - base]
         hank2 = psi2[inner[:, None] + rows[None, :] + 1 - base]
         block = hank1 @ hank2
-        val = float(np.linalg.det(np.eye(end - hh) - block))
+        val = float(np.linalg.det(np.eye(section) - block))
         if not -_CDF_TOL <= val <= 1.0 + _CDF_TOL:
             raise ArithmeticError(f"bo_cdf at h={hh}, N={end}: {val!r} lies outside [0, 1] "
                                   f"by more than {_CDF_TOL}")

@@ -15,8 +15,7 @@ from tschur.asymptotics import (
     saddle_point,
     saddle_root_function,
     scaled_cdf,
-    sigma_prime,
-    sigma_second,
+    sigma_derivative,
 )
 from tschur.measure import MeasureParams
 from tschur.tracy_widom import NonConvergedError, tw_f2, tw_f2_mean
@@ -52,8 +51,8 @@ def test_bisection_matches_scipy_bit_for_bit():
 def test_sigma_derivatives_vanish_at_saddle():
     for (a, tau, t) in ((0.5, 1.0, 0.0), (0.4, 1.0, -1.0), (0.6, 0.5, -2.0)):
         data = constants(a, tau, t)
-        assert abs(sigma_prime(data.z0, a, tau, t, data.c)) < 1e-9
-        assert abs(sigma_second(data.z0, a, tau, t, data.c)) < 1e-8
+        assert abs(sigma_derivative(1, data.z0, a, tau, t, data.c)) < 1e-9
+        assert abs(sigma_derivative(2, data.z0, a, tau, t, data.c)) < 1e-8
 
 
 def _sigma_derivative_residuals(alpha, tau, t, step=1e-5):
@@ -84,10 +83,10 @@ def _sigma_derivative_residuals(alpha, tau, t, step=1e-5):
             sigma(z + 2 * h) - 2 * sigma(z + h) + 2 * sigma(z - h) - sigma(z - 2 * h)
         ) / (2 * h ** 3)
         return {
-            "first": float(abs(fd1 - sigma_prime(z0, alpha, tau, t, c))),
-            "second": float(abs(fd2 - sigma_second(z0, alpha, tau, t, c))),
+            "first": float(abs(fd1 - sigma_derivative(1, z0, alpha, tau, t, c))),
+            "second": float(abs(fd2 - sigma_derivative(2, z0, alpha, tau, t, c))),
             "third": float(abs(fd3 - data.sigma3)),
-            "first_at_saddle": abs(sigma_prime(z0, alpha, tau, t, c)),
+            "first_at_saddle": abs(sigma_derivative(1, z0, alpha, tau, t, c)),
         }
 
 
@@ -97,6 +96,24 @@ def test_sigma_derivative_finite_differences():
     assert res["second"] < 1e-8
     assert res["third"] < 1e-8
     assert res["first_at_saddle"] < 1e-10
+
+
+@pytest.mark.parametrize("alpha, tau, t", [(0.5, 1.0, 0.0), (0.4, 1.0, -1.0)])
+def test_sigma_derivative_orders(alpha, tau, t):
+    # each order k against the central difference of order k-1 of sigma',
+    # taken at 50 digits; sigma'' vanishes at z0, so z sits just off it
+    data = constants(alpha, tau, t)
+    z = 1.01 * data.z0
+    with mpmath.workdps(50):
+        args = [mpmath.mpf(v) for v in (alpha, tau, t, data.c)]
+        h = mpmath.mpf(1e-5)
+        for k in range(2, 6):
+            j = k - 1
+            fd = sum((-1) ** i * math.comb(j, i)
+                     * sigma_derivative(1, mpmath.mpf(z) + (j / 2 - i) * h, *args)
+                     for i in range(j + 1)) / h ** j
+            ref = sigma_derivative(k, z, alpha, tau, t, data.c)
+            assert abs(fd - ref) < 1e-7 * abs(ref), k
 
 
 def test_special_point_c1():

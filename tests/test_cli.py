@@ -48,6 +48,12 @@ def test_rsk_reads_stdin_and_rejects_garbage():
     ("sample --m 2 --n 2 --alpha 1/2 --samples 5 --seed -1", "seed must be a nonnegative"),
     ("dist --m 0 --n 2 --alpha 1/2 --h-max 3", "m and n must be positive"),
     ("dist --m 2 --n 2 --alpha 3/2 --h-max 3", "alpha must lie in (0, 1)"),
+    ("dist --m 2 --n 2 --alpha 1/2 --h-max -1", "h-max must be nonnegative"),
+    ("constants --alpha 2 --tau 1", "alpha must lie in (0, 1)"),
+    ("tw --s-grid=11", "s outside supported range"),
+    ("tw --s-grid=abc", "could not convert string to float"),
+    ("converge --alpha 1/2 --tau 1/2 --n-list 3", "tau * n must be an integer"),
+    ("converge --alpha 3/2 --n-list 10", "alpha must lie in (0, 1)"),
 ])
 def test_bad_measure_input_is_a_usage_error(argv, message, capsys):
     from tschur.cli import main

@@ -327,12 +327,14 @@ def test_bo_cdf_matches_exact_at_moderate_n(p, hs):
         assert abs(val - float(ref)) < 1e-10, h
 
 
-def test_bo_cdf_large_size_is_stable():
+def test_bo_cdf_large_size_is_stable(monkeypatch):
     # the regime where double-precision coefficient recurrences are pure noise
     p = MeasureParams(60, 60, F(1, 2), F(0))
     h = 120  # center of the distribution, c1 = 2
     v1 = numerics.bo_cdf(p, h)
-    v2 = numerics.bo_cdf(p, h, N=h + numerics.default_section(p) + 40)
+    section = numerics.default_section
+    monkeypatch.setattr(numerics, "default_section", lambda params: section(params) + 40)
+    v2 = numerics.bo_cdf(p, h)
     assert 0.4 < v1 < 1.0
     assert abs(v1 - v2) < 1e-9
 
