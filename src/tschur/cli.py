@@ -275,7 +275,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # bad input: one line of standard error, a usage error
+    except (ValueError, OSError) as exc:  # bad input or an unusable file: a usage error
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

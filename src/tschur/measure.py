@@ -92,11 +92,6 @@ def z_norm(params):
     return ((1 - params.t * rho) / (1 - rho)) ** (params.m * params.n)
 
 
-def log_z_norm(params):
-    rho = float(params.rho)
-    return params.m * params.n * (math.log1p(-float(params.t) * rho) - math.log1p(-rho))
-
-
 def partition_prob(lam, params):
     """P_t({lambda}) = S_lambda(alpha^m;t) s_lambda(alpha^n) / Z_t."""
     s = schur_s(lam, SpecializedVars(params.n, params.alpha))
@@ -113,14 +108,13 @@ def _entry_law(params):
     return (1 - rho) / (1 - t * rho), math.log(rho), -t / (1 - t)
 
 
-# numpy's SeedSequence hash (O'Neill's seed_seq design) on 32-bit words, and
-# the PCG64 multiplier: `_child_seeds` and `_draw` compute for a whole block
-# what `SeedSequence.spawn` and `default_rng` compute one child at a time
+# numpy's SeedSequence hash (O'Neill's seed_seq design) on 32-bit words:
+# `_child_seeds` computes for a whole block what `SeedSequence.spawn`
+# computes one child at a time
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # entropy mixing
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # generate_state
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
+_M32 = (1 << 32) - 1
 
 
 def _hashmix(value, init, mult, k):
@@ -157,28 +151,37 @@ def _child_seeds(parent, start, count):
     return np.stack([state[j] | state[j + 1] << np.uint64(32) for j in range(0, 8, 2)], axis=1)
 
 
+class _ChildWords:
+    """A child's four seed words as numpy's PCG64 reads a seed sequence: it
+    asks only for `generate_state(4, np.uint64)`."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=None):
+        return self.words
+
+
 def _draw(law, seeds, cells):
     """(sizes, marks) arrays of shape (len(seeds), cells), one row for each
     row of `seeds`, the four words of a `generate_state(4, np.uint64)`.
 
     Row r holds what `default_rng` seeded from those words gives in two
-    `random(cells)` calls.  One PCG64 serves every row: it takes each row's
-    state in turn, as numpy's `pcg_setseq_128_srandom_r` sets it from the
-    first two words (initstate) and the last two (initseq), and one
-    `random` call fills the row.  A size inverts the law's CDF at the first
-    u: 0 if u < p0, else the least k with 1 - (1 - p0) rho^k > u; the second
-    u marks a nonzero entry.
+    `random(cells)` calls, taken as one `random` call on a PCG64 seeded
+    from the row's words.  A size inverts the law's CDF at the first u: 0
+    if u < p0, else the least k with 1 - (1 - p0) rho^k > u; the second u
+    marks a nonzero entry.
     """
     p0, log_rho, mark_prob = law
-    bits = np.random.PCG64(0)
-    rng = np.random.Generator(bits)
+    # imported on first use: cold `tschur dist` needs none of numpy.random
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_ChildWords)  # a no-op once registered
     u = np.empty((len(seeds), 2 * cells))
-    for row, (s0, s1, q0, q1) in zip(u, seeds.tolist()):
-        inc = ((q0 << 64 | q1) << 1 | 1) & _M128
-        state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _M128
-        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                      "has_uint32": 0, "uinteger": 0}
-        rng.random(out=row)
+    for row, words in zip(u, seeds):
+        np.random.Generator(np.random.PCG64(_ChildWords(words))).random(out=row)
     size_u, mark_u = u[:, :cells], u[:, cells:]
     tail = np.floor((np.log1p(-size_u) - math.log1p(-p0)) / log_rho).astype(np.int64)
     sizes = np.where(size_u < p0, 0, 1 + tail)

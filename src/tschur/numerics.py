@@ -25,7 +25,7 @@ from numbers import Rational
 import numpy as np
 
 from .series import TruncatedSeries, det_expansion, det_gauss, first_mismatch
-from .symfunc import SpecializedVars, gen_e_coeffs, weights_by_size
+from .symfunc import SpecializedVars, gen_e_coeffs, on_even_degrees, weights_by_size
 
 _CDF_TOL = 1e-8  # largest excursion outside [0, 1] that `bo_cdf` accepts
 
@@ -50,32 +50,30 @@ class SymbolCoefficients:
         return self.coeffs[k - self.kmin]
 
 
-def _check_params(params):
-    if abs(params.t * params.alpha) >= 1:
-        raise ValueError("|t*alpha| must be below 1 for the symbol to converge")
+def _phi_terms(m, n, x, t, kmin, kmax):
+    """For each k in [kmin, kmax], the terms e_j(x^m;t) e_{j+k}(x^n) of phi_k
+    for j = max(0, -k) .. n - k: e_l(x^n) vanishes beyond l = n, so the sum
+    is finite for every alpha and t."""
+    ext = gen_e_coeffs(SpecializedVars(m, x), t, n - kmin)
+    ey = gen_e_coeffs(SpecializedVars(n, x), 0, n)
+    return [[ext.coeff(j) * ey.coeff(j + k) for j in range(max(0, -k), n - k + 1)]
+            for k in range(kmin, kmax + 1)]
 
 
 def symbol_phi(params, kmin, kmax, exact=True):
     """Coefficients of phi = E~_{x,t} E_y on the index window [kmin, kmax].
 
     The sums run in the scalars of `params`: exact rationals for rational
-    parameters.  `exact=False`, the former double-precision route, is no
-    longer offered.
+    parameters, on the whole domain (each phi_k is a finite sum; only the
+    Borodin-Okounkov route needs |t alpha| < 1).  `exact=False`, the former
+    double-precision route, is no longer offered.
     """
     if kmin > 0 or kmax < 0:
         raise ValueError("window must contain 0")
     if not exact:
         raise ValueError("symbol_phi has only the exact route")
-    _check_params(params)
-    jmax = params.n - kmin
-    ext = gen_e_coeffs(SpecializedVars(params.m, params.alpha), params.t, jmax)
-    ey = gen_e_coeffs(SpecializedVars(params.n, params.alpha), 0, params.n)
-    coeffs = []
-    for k in range(kmin, kmax + 1):
-        acc = Fraction(0)
-        for j in range(max(0, -k), params.n - k + 1):
-            acc += ext.coeff(j) * ey.coeff(j + k)
-        coeffs.append(acc)
+    coeffs = [sum(row, Fraction(0))
+              for row in _phi_terms(params.m, params.n, params.alpha, params.t, kmin, kmax)]
     # e_j(x;t) is alpha^j times a polynomial of degree j in t, and e_l(y)
     # is alpha^l C(n, l), so alpha^k phi_k is a polynomial in alpha^2,
     # and dividing the scale by den(t) also keeps the powers of den(t)
@@ -90,19 +88,11 @@ def symbol_phi_alpha_series(m, n, t, kmin, kmax, degree):
     Uses homogeneity: e_j(alpha^m;t) = e_j(1^m;t) alpha^j, so
     phi_k = sum_j e_j(1^m;t) e_{j+k}(1^n) alpha^(2j+k).
     """
-    one = Fraction(1)
-    jmax = n - kmin
-    ext = gen_e_coeffs(SpecializedVars(m, one), t, jmax)
-    ey = gen_e_coeffs(SpecializedVars(n, one), 0, n)
-    coeffs = []
-    for k in range(kmin, kmax + 1):
-        poly = [Fraction(0)] * (degree + 1)
-        for j in range(max(0, -k), n - k + 1):
-            d = 2 * j + k
-            if d <= degree:
-                poly[d] += ext.coeff(j) * ey.coeff(j + k)
-        coeffs.append(TruncatedSeries(poly, degree))
-    return SymbolCoefficients(kmin, kmax, coeffs)
+    rows = _phi_terms(m, n, Fraction(1), t, kmin, kmax)
+    # the terms sit on every other degree from alpha^|k| (j starts at max(0, -k))
+    return SymbolCoefficients(kmin, kmax, [
+        TruncatedSeries([Fraction(0)] * abs(k) + on_even_degrees(row, degree).coeffs, degree)
+        for k, row in zip(range(kmin, kmax + 1), rows)])
 
 
 def _toeplitz_rows(sym, h):
@@ -184,8 +174,7 @@ def gessel_lhs_alpha_series(m, n, t, h, degree):
     """Gessel's partition sum of S_lambda(alpha^m;t) s_lambda(alpha^n) over
     lambda_1 <= h as an exact alpha-series through `degree`:
     `symfunc.weights_by_size` placed on the even degrees."""
-    w = weights_by_size(m, n, t, degree // 2, max_part=h)
-    return TruncatedSeries([c for wk in w for c in (wk, Fraction(0))], degree)
+    return on_even_degrees(weights_by_size(m, n, t, degree // 2, max_part=h), degree)
 
 
 def gessel_check(m, n, t, h, degree):
@@ -302,6 +291,14 @@ def _integers(coeffs):
     return [int(c * den) for c in coeffs]
 
 
+def _check_decay(params):
+    """The Wiener-Hopf split behind `hankel_symbols` and `bo_cdf` needs the
+    coefficients to decay, |t alpha| < 1; the measure itself does not."""
+    if abs(params.t * params.alpha) >= 1:
+        raise ValueError("the Borodin-Okounkov (float) route needs |t*alpha| < 1; "
+                         'use mode="exact" for the exact Toeplitz route')
+
+
 def hankel_symbols(params, kmin, kmax):
     """psi1_k and psi2_k for kmin <= k <= kmax, correctly rounded doubles.
 
@@ -320,7 +317,7 @@ def hankel_symbols(params, kmin, kmax):
     """
     if kmin < 1 or kmax < kmin:
         raise ValueError("need 1 <= kmin <= kmax")
-    _check_params(params)
+    _check_decay(params)
     m, n = params.m, params.n
     alpha, t = Fraction(params.alpha), Fraction(params.t)
     A, B = 1 - alpha * alpha, 1 - t * alpha * alpha
@@ -378,8 +375,7 @@ def default_section(params):
     sets in.  It carries no certified bound: a^(10/log(1/a)) = e^-10 for one
     neglected entry, before a factor polynomial in k of degree n - 1.
     """
+    _check_decay(params)
     a = float(params.alpha) * max(1.0, abs(float(params.t)))
-    if a >= 1:
-        raise ValueError("invalid decay rate")
     tail = max(60, math.ceil(10 / math.log(1 / a)))
     return int(max(tail, math.ceil(16 * max(params.m, params.n) ** (1.0 / 3.0))))

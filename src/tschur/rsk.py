@@ -323,8 +323,8 @@ def _reverse_insert(rows, start_row):
     return gamma
 
 
-def inverse_rsk(s, u, m=None, n=None):
-    """Rebuild the P-matrix from a tableau pair of equal shape.
+def inverse_rsk(s, u, m, n):
+    """Rebuild the m x n P-matrix from a tableau pair of equal shape.
 
     Reverse insertions run in decreasing recording value, ties right-to-left.
     """
@@ -344,12 +344,7 @@ def inverse_rsk(s, u, m=None, n=None):
             raise InverseRSKError("recording entries do not peel off corners")
         upper.append(value)
         lower.append(_reverse_insert(rows, r))
-    w = Biword._of(upper[::-1], lower[::-1])
-    if m is None:
-        m = max(upper, default=1)
-    if n is None:
-        n = (max(lower, default=1) + 1) >> 1
-    return matrix_from_biword(w, m, n)
+    return matrix_from_biword(Biword._of(upper[::-1], lower[::-1]), m, n)
 
 
 def _lis_keys(letters):

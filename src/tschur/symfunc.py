@@ -200,11 +200,17 @@ def weights_by_size(m, n, t, size, max_part=None):
     return w
 
 
+def on_even_degrees(coeffs, degree):
+    """The alpha-series through `degree` with c_k on alpha^(2k): a series in
+    rho = alpha^2, such as the weights by size, read in alpha."""
+    return TruncatedSeries([c for ck in coeffs for c in (ck, Fraction(0))], degree)
+
+
 def cauchy_rhs_series(m, n, t, degree):
-    """((1 - t alpha^2)/(1 - alpha^2))^(mn) expanded through `degree`."""
-    num = TruncatedSeries([Fraction(1), Fraction(0), Fraction(-t)], degree)
-    den = TruncatedSeries([Fraction(1), Fraction(0), Fraction(-1)], degree)
-    return (num * den.inverse()) ** (m * n)
+    """Z_t = ((1 - t alpha^2)/(1 - alpha^2))^(mn) expanded through `degree`:
+    the h-series H(rho) of mn variables equal to 1, by `gen_h_coeffs`'s
+    recurrence."""
+    return on_even_degrees(gen_h_coeffs(SpecializedVars(m * n, 1), t, degree // 2).coeffs, degree)
 
 
 def cauchy_check(m, n, t, degree):
@@ -214,7 +220,6 @@ def cauchy_check(m, n, t, degree):
     even degrees.  Returns (ok, mismatch): `mismatch` is None on success,
     else the first (exponent, lhs, rhs) triple that disagrees.
     """
-    w = weights_by_size(m, n, t, degree // 2)
-    lhs = TruncatedSeries([c for wk in w for c in (wk, Fraction(0))], degree)
+    lhs = on_even_degrees(weights_by_size(m, n, t, degree // 2), degree)
     mismatch = first_mismatch(lhs, cauchy_rhs_series(m, n, t, degree), degree)
     return mismatch is None, mismatch

@@ -63,6 +63,33 @@ def test_bad_measure_input_is_a_usage_error(argv, message, capsys):
     assert out == "" and err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    "rsk --matrix-file missing.txt",
+    "dist --m 2 --n 2 --alpha 1/2 --h-max 3 --out missing/cdf.csv",
+])
+def test_unusable_file_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
+    from tschur.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    assert main(argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "No such file" in err
+    assert err.count("\n") == 1 and not list(tmp_path.iterdir())
+
+
+def test_dist_exact_route_beyond_bo_domain():
+    """|t alpha| = 3/2: the exact route runs; `auto` sends h = 7, 8 to the
+    Borodin-Okounkov route, which refuses with a usage error naming it."""
+    args = "dist --m 2 --n 2 --alpha 1/2 --t=-3 --mode {} --h-max {}"
+    res = run_cli(*args.format("exact", 4).split())
+    assert res.returncode == 0, res.stderr
+    assert [l.split(",")[0] for l in res.stdout.splitlines() if l[0].isdigit()] == list("01234")
+    res = run_cli(*args.format("auto", 8).split())
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.startswith("error: the Borodin-Okounkov (float) route")
+    assert 'mode="exact"' in res.stderr
+
+
 def test_dist_csv_and_metadata():
     res = run_cli(
         "dist", "--m", "2", "--n", "2", "--alpha", "1/2", "--t=-1", "--h-max", "3"
@@ -232,7 +259,8 @@ def test_verify_reports_a_failing_criterion(monkeypatch, capsys):
 # None needs the modules listed with it.
 @pytest.mark.parametrize("args, unneeded", [
     ("dist --m 2 --n 2 --alpha 1/2 --t=-1/2 --h-max 4",
-     "scipy mpmath tschur.asymptotics tschur.tracy_widom tschur.airy tschur.acceptance"),
+     "scipy mpmath numpy.random tschur.asymptotics tschur.tracy_widom tschur.airy "
+     "tschur.acceptance"),
     ("converge --alpha 1/2 --tau 1 --t 0 --n-list 20 --s-grid=0",
      "mpmath scipy.optimize scipy.linalg tschur.acceptance"),
     ("verify", "scipy tschur.airy tschur.tracy_widom tschur.asymptotics"),

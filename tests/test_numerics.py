@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tschur.measure import MeasureParams, lambda1_cdf_exact, z_norm
+from tschur.measure import MeasureParams, lambda1_cdf_exact, lambda1_cdf_exact_oracle, z_norm
 from tschur import numerics
 from tschur.series import det_gauss
 
@@ -386,6 +386,19 @@ def test_e_phi_equals_z_norm():
         assert math.isclose(e, float(z_norm(p)), rel_tol=1e-10)
 
 
-def test_symbol_rejects_divergent_params():
-    with pytest.raises(ValueError):
-        numerics.symbol_phi(MeasureParams(1, 1, F(1, 2), F(-3)), -1, 1)
+# |t alpha| >= 1: outside the Borodin-Okounkov route's domain, inside the measure's
+BEYOND_BO = [MeasureParams(2, 2, F(1, 2), F(-3)), MeasureParams(3, 2, F(1, 2), F(-4)),
+             MeasureParams(2, 3, F(2, 3), F(-5)), MeasureParams(3, 3, F(1, 2), F(-3))]
+
+
+def test_exact_route_beyond_bo_domain_equals_oracle():
+    hs = range(5)
+    for p in BEYOND_BO:
+        assert lambda1_cdf_exact(p, hs, mode="exact") == [lambda1_cdf_exact_oracle(p, h)
+                                                           for h in hs]
+
+
+def test_float_route_names_bo_domain():
+    for p in BEYOND_BO:
+        with pytest.raises(ValueError, match="Borodin-Okounkov.*mode=\"exact\""):
+            lambda1_cdf_exact(p, 3, mode="float")

@@ -363,12 +363,12 @@ def test_inverse_rsk_rejects_bad_pairs():
     s = MarkedTableau([[E("1'"), E("1")]])
     u_wrong_shape = RecordingTableau([[1], [2]])
     with pytest.raises(InverseRSKError):
-        inverse_rsk(s, u_wrong_shape)
+        inverse_rsk(s, u_wrong_shape, 3, 3)
     u_bad = RecordingTableau([[2, 1]])
     with pytest.raises(InverseRSKError):
-        inverse_rsk(s, RecordingTableau([[1], [1]]))
+        inverse_rsk(s, RecordingTableau([[1], [1]]), 3, 3)
     with pytest.raises(InverseRSKError):
-        inverse_rsk(MarkedTableau([[E("1'"), E("1'")]]), RecordingTableau([[1, 1]]))
+        inverse_rsk(MarkedTableau([[E("1'"), E("1'")]]), RecordingTableau([[1, 1]]), 3, 3)
     assert not validate_recording_tableau(u_bad)
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tschur.partitions import Partition, partitions
+from tschur.series import TruncatedSeries
 from tschur.symfunc import (
     SpecializedVars,
     _jt_minor,
@@ -199,6 +200,20 @@ def test_cauchy_rhs_closed_form():
     assert rhs.coeff(0) == 1
     assert rhs.coeff(2) == 8
     assert rhs.coeff(4) == 32
+
+
+def test_cauchy_rhs_equals_power_of_series_quotient():
+    """The h-recurrence series of Z_t against ((1 - t X^2)/(1 - X^2))^(mn)
+    built by series inversion and powering."""
+    for m in (1, 2, 3):
+        for n in (1, 2, 3):
+            for t in (F(0), F(-1, 2), F(-1), F(-3, 2)):
+                for degree in (0, 1, 7, 8, 40):
+                    num = TruncatedSeries([F(1), F(0), -t], degree)
+                    den = TruncatedSeries([F(1), F(0), F(-1)], degree)
+                    rhs = cauchy_rhs_series(m, n, t, degree)
+                    assert rhs.order == degree
+                    assert rhs == (num * den.inverse()) ** (m * n)
 
 
 def test_cauchy_lhs_leading_terms():
