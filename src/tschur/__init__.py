@@ -27,8 +27,8 @@ from .symfunc import (
     schur_s,
 )
 from .measure import (
+    EntryDistribution,
     MeasureParams,
-    entry_pmf,
     lambda1_cdf_exact,
     lambda1_cdf_mc,
     partition_prob,

@@ -36,15 +36,6 @@ def _fmt(x):
     return str(x)
 
 
-def _write_rows(stream, meta, header, rows):
-    stream.write(f"# tschur {__version__}\n")
-    for key in sorted(meta):
-        stream.write(f"# {key} = {meta[key]}\n")
-    stream.write(",".join(header) + "\n")
-    for row in rows:
-        stream.write(",".join(_fmt(v) for v in row) + "\n")
-
-
 @contextlib.contextmanager
 def _output(path):
     """Standard output for None or "-", else the file at `path`, LF endings."""
@@ -56,8 +47,20 @@ def _output(path):
 
 
 def _emit(path, meta, header, rows):
+    """CSV with a `#` header: the version, then `meta` by sorted key."""
     with _output(path) as stream:
-        _write_rows(stream, meta, header, rows)
+        stream.write(f"# tschur {__version__}\n")
+        for key in sorted(meta):
+            stream.write(f"# {key} = {meta[key]}\n")
+        stream.write(",".join(header) + "\n")
+        for row in rows:
+            stream.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def _emit_json(path, record):
+    with _output(path) as stream:
+        json.dump(record, stream, indent=2)
+        stream.write("\n")
 
 
 def _parse_grid(text, cast=float):
@@ -117,9 +120,7 @@ def cmd_dist(args):
     hs = range(args.h_max + 1)
     rows = [(h, float(v)) for h, v in zip(hs, lambda1_cdf_exact(params, hs, mode=args.mode))]
     if args.format == "json":
-        with _output(args.out) as stream:
-            json.dump({"meta": meta, "cdf": {h: v for h, v in rows}}, stream, indent=2)
-            stream.write("\n")
+        _emit_json(args.out, {"meta": meta, "cdf": dict(rows)})
     else:
         _emit(args.out, meta, ("h", "cdf"), rows)
     return 0
@@ -152,9 +153,7 @@ def cmd_constants(args):
         "z0": data.z0, "c": data.c, "sigma3": data.sigma3, "g": data.g,
         "c1": data.c1, "c2": data.c2,
     }
-    with _output(args.out) as stream:
-        json.dump(record, stream, indent=2)
-        stream.write("\n")
+    _emit_json(args.out, record)
     return 0
 
 

@@ -82,10 +82,6 @@ class EntryDistribution:
         return self.p0 * (-self.t) * self.rho ** k
 
 
-def entry_pmf(rho, t):
-    return EntryDistribution(rho, t)
-
-
 def z_norm(params):
     """Normalization Z_t = ((1 - t alpha^2)/(1 - alpha^2))^(mn)."""
     rho = params.rho
@@ -275,7 +271,8 @@ def lambda1_cdf_exact(params, h, mode="auto"):
     finite-section Fredholm determinant of the Hankel product, which stays
     numerically meaningful at sizes where the raw Toeplitz determinant
     drowns in cancellation.  `mode` may force "exact" or "float"; "auto"
-    takes the exact route for exact parameters and h <= 6.
+    takes the exact route for exact parameters and h <= 6, and for every h
+    where the float route cannot run (|t alpha| >= 1).
 
     `h` may be an int or a sequence of ints; a sequence returns a list with
     the value of each h, its route chosen per h as for a single call.  All
@@ -290,17 +287,16 @@ def lambda1_cdf_exact(params, h, mode="auto"):
     if mode == "exact" and not params.exact:
         raise ValueError("the exact route (Toeplitz determinant over the rationals) "
                          "needs rational alpha and t; pass Fractions")
-    exact = [mode == "exact" or (mode == "auto" and params.exact and hh <= 6) for hh in hs]
-    floats = [hh for hh, ex in zip(hs, exact) if not ex]
-    exacts = [hh for hh, ex in zip(hs, exact) if ex]
-    float_vals = iter(numerics.bo_cdf(params, floats) if floats else [])
-    exact_vals = iter([])
+    exacts = [hh for hh in hs if mode == "exact" or (mode == "auto" and params.exact and (
+        hh <= 6 or not numerics.in_bo_domain(params)))]
+    floats = [hh for hh in hs if hh not in exacts]
+    vals = dict(zip(floats, numerics.bo_cdf(params, floats))) if floats else {}
     if exacts:
         top = max(exacts)
         sym = numerics.symbol_phi(params, -(max(top, 1) - 1), max(top - 1, 0))
         z = z_norm(params)
-        exact_vals = iter([det / z for det in numerics.toeplitz_det(sym, exacts)])
-    vals = [next(exact_vals) if ex else next(float_vals) for ex in exact]
+        vals.update(zip(exacts, [det / z for det in numerics.toeplitz_det(sym, exacts)]))
+    vals = [vals[hh] for hh in hs]
     return vals[0] if single else vals
 
 

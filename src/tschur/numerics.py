@@ -146,9 +146,8 @@ def _leading_minors(sym, h):
     if not all(isinstance(v, Rational) for v in entries):
         raise ValueError("the exact Toeplitz determinant needs rational symbol coefficients")
     a = Fraction(sym.scale)
-    entries = [Fraction(v) * a ** k for k, v in zip(range(1 - h, h), entries)]
-    den = math.lcm(*(v.denominator for v in entries))
-    c = [v.numerator * (den // v.denominator) for v in entries]  # c[h - 1 + k] = c_k
+    # c[h - 1 + k] = c_k
+    c, den = _integers([Fraction(v) * a ** k for k, v in zip(range(1 - h, h), entries)])
     dets = [1, c[h - 1]] if h else [1]
     A = B = [1]
     for k in range(1, h):
@@ -215,45 +214,27 @@ def _hankel_entries(P, Q, y0, deg, alpha, kmin, kmax):
     each correctly rounded to a double, where y solves P y' = Q y, y(0) = y0
     (alpha and y0 Fractions).
 
-    With Y from `_taylor_ode`, the sum is y0 U_0(k) / (P_0^deg deg!^2), and
-    the integer U_0(k) comes from Horner's rule
-    U_j = Y_{deg-j} P_0^j deg!^2 / ((deg-j)! j!) + (k+j+1) U_{j+1}
-    on the first deg+1 points of the window.  U_0 has degree deg, so the
-    rest follow by additions from the backward differences at the last of
-    them.
+    With Y from `_taylor_ode`, the sum is y0 T_0(k) / (P_0^deg deg!), where
+    T_j(k) = sum_{r>=j} c_r C(k+r-j, r-j) with the integers
+    c_r = Y_{deg-r} P_0^r deg!/(deg-r)!.  T_j(-1) = c_j, and Pascal's rule
+    gives T_j(k) = T_j(k-1) + T_{j+1}(k), so every T_0(k) follows from
+    k = -1 by additions alone.
     """
     Y = _taylor_ode(P, Q, deg + 1)
-    fd = math.factorial(deg)
-    coef, lead = [], 1  # lead = P_0^j deg!/(deg-j)!
-    for j in range(deg + 1):
-        coef.append(Y[deg - j] * lead * (fd // math.factorial(j)))
-        lead *= P[0] * (deg - j)
-
-    def horner(k):
-        u = 0
-        for j in range(deg, -1, -1):
-            u = u * (k + j + 1) + coef[j]
-        return u
-
-    vals = [horner(k) for k in range(kmin, min(kmax, kmin + deg) + 1)]
-    diffs = []  # backward differences at the last value, highest order first
-    row = vals
-    while row:
-        diffs.insert(0, row[-1])
-        row = [y - x for x, y in zip(row, row[1:])]
-    for _ in range(kmin + len(vals), kmax + 1):
-        # the highest difference is constant; each lower one adds the next
-        diffs = list(itertools.accumulate(diffs))
-        vals.append(diffs[-1])
-
-    scale = y0 / (P[0] ** deg * fd * fd)
+    sums, lead = [], 1  # lead = P_0^r deg!/(deg-r)!
+    for r in range(deg + 1):
+        sums.insert(0, Y[deg - r] * lead)  # T_deg first, T_0 last
+        lead *= P[0] * (deg - r)
+    scale = y0 / (P[0] ** deg * math.factorial(deg))
     num = scale.numerator * (-alpha.numerator) ** kmin
     den = scale.denominator * alpha.denominator ** kmin
     out = []
-    for u in vals:
-        out.append(_rounded(num, u, den))
-        num *= -alpha.numerator
-        den *= alpha.denominator
+    for k in range(kmax + 1):
+        sums = list(itertools.accumulate(sums))
+        if k >= kmin:
+            out.append(_rounded(num, sums[-1], den))
+            num *= -alpha.numerator
+            den *= alpha.denominator
     return np.array(out)
 
 
@@ -286,15 +267,21 @@ def _rounded(a, b, d):
 
 
 def _integers(coeffs):
-    """Rational coefficients scaled by their least common denominator."""
+    """(ints, den): rational coefficients scaled by their least common
+    denominator den, so ints[i] = den * coeffs[i]."""
     den = math.lcm(*(c.denominator for c in coeffs))
-    return [int(c * den) for c in coeffs]
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def in_bo_domain(params):
+    """Whether the Wiener-Hopf split behind `hankel_symbols` and `bo_cdf`
+    exists: it needs the coefficients to decay, |t alpha| < 1; the measure
+    itself does not."""
+    return abs(params.t * params.alpha) < 1
 
 
 def _check_decay(params):
-    """The Wiener-Hopf split behind `hankel_symbols` and `bo_cdf` needs the
-    coefficients to decay, |t alpha| < 1; the measure itself does not."""
-    if abs(params.t * params.alpha) >= 1:
+    if not in_bo_domain(params):
         raise ValueError("the Borodin-Okounkov (float) route needs |t*alpha| < 1; "
                          'use mode="exact" for the exact Toeplitz route')
 
@@ -322,12 +309,12 @@ def hankel_symbols(params, kmin, kmax):
     alpha, t = Fraction(params.alpha), Fraction(params.t)
     A, B = 1 - alpha * alpha, 1 - t * alpha * alpha
     # (w-A)(w-B) f' = m (A-B) f
-    pq = _integers([A * B, -(A + B), 1, m * (A - B)])
+    pq, _ = _integers([A * B, -(A + B), 1, m * (A - B)])
     psi1 = _hankel_entries(pq[:3], pq[3:], (A / B) ** m, n - 1, alpha, kmin, kmax)
     # ((1-t)+tw)(w-A)(w-1) g' = (m t (w-A)(w-1) + n (A-1) ((1-t)+tw)) g
     c0, r0, r1 = 1 - t, A, -(A + 1)
-    pq = _integers([c0 * r0, c0 * r1 + t * r0, c0 + t * r1, t,
-                    m * t * r0 + n * (A - 1) * c0, m * t * r1 + n * (A - 1) * t, m * t])
+    pq, _ = _integers([c0 * r0, c0 * r1 + t * r0, c0 + t * r1, t,
+                       m * t * r0 + n * (A - 1) * c0, m * t * r1 + n * (A - 1) * t, m * t])
     psi2 = _hankel_entries(pq[:4], pq[4:], (1 - t) ** m * A ** n, m - 1, alpha, kmin, kmax)
     return psi1, psi2
 

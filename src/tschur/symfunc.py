@@ -95,11 +95,7 @@ def _specialized_coeffs(variables, t, nmax, sign):
 def _jt_minor(shape, coeffs):
     """det(c_{shape_i - i + j}) with c_k = 0 for k < 0; the empty det is 1."""
     size = len(shape)
-
-    def c(k):
-        return coeffs.coeff(k) if k >= 0 else Fraction(0)
-
-    return det_gauss([[c(shape[i] - i + j) for j in range(size)] for i in range(size)])
+    return det_gauss([[coeffs.coeff(shape[i] - i + j) for j in range(size)] for i in range(size)])
 
 
 def _jacobi_trudi_form(lam):

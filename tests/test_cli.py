@@ -78,16 +78,18 @@ def test_unusable_file_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
 
 
 def test_dist_exact_route_beyond_bo_domain():
-    """|t alpha| = 3/2: the exact route runs; `auto` sends h = 7, 8 to the
-    Borodin-Okounkov route, which refuses with a usage error naming it."""
-    args = "dist --m 2 --n 2 --alpha 1/2 --t=-3 --mode {} --h-max {}"
-    res = run_cli(*args.format("exact", 4).split())
-    assert res.returncode == 0, res.stderr
-    assert [l.split(",")[0] for l in res.stdout.splitlines() if l[0].isdigit()] == list("01234")
-    res = run_cli(*args.format("auto", 8).split())
-    assert res.returncode == 2 and res.stdout == ""
-    assert res.stderr.startswith("error: the Borodin-Okounkov (float) route")
-    assert 'mode="exact"' in res.stderr
+    """|t alpha| = 3/2: the Borodin-Okounkov route cannot run, so `auto`
+    prints the exact route's rows at every h, and `--mode float` refuses
+    with a usage error naming that route."""
+    args = "dist --m 2 --n 2 --alpha 1/2 --t=-3 --h-max 8 --mode {}"
+    exact, auto, flt = (run_cli(*args.format(mode).split()) for mode in ("exact", "auto", "float"))
+    assert exact.returncode == 0 and auto.returncode == 0, exact.stderr + auto.stderr
+    rows = [l for l in exact.stdout.splitlines() if l[0].isdigit()]
+    assert [l.split(",")[0] for l in rows] == list("012345678")
+    assert [l for l in auto.stdout.splitlines() if l[0].isdigit()] == rows
+    assert flt.returncode == 2 and flt.stdout == ""
+    assert flt.stderr.startswith("error: the Borodin-Okounkov (float) route")
+    assert 'mode="exact"' in flt.stderr
 
 
 def test_dist_csv_and_metadata():

@@ -9,11 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tschur import measure
+from tschur import EntryDistribution, measure
 from tschur.measure import (
     MeasureParams,
     empirical_cdf,
-    entry_pmf,
     ks_distance,
     lambda1_cdf_exact,
     lambda1_cdf_exact_oracle,
@@ -47,7 +46,7 @@ def test_z_norm_value():
 
 def test_entry_pmf_values():
     # rho = 1/4, t = -1: p0 = 3/5, p(±1) split 3/20 each
-    d = entry_pmf(F(1, 4), F(-1))
+    d = EntryDistribution(F(1, 4), F(-1))
     assert d.p0 == F(3, 5)
     assert d.p_unmarked(1) == F(3, 20)
     assert d.p_marked(1) == F(3, 20)
@@ -193,7 +192,7 @@ def test_float_partition_probs_are_nonnegative():
 def test_entry_frequencies_match_pmf():
     # 3-sigma agreement of empirical entry frequencies with the exact law
     p = MeasureParams(1, 1, F(1, 2), F(-1))
-    d = entry_pmf(p.rho, p.t)
+    d = EntryDistribution(p.rho, p.t)
     n = 4000
     vals = [sample_matrix(p, seed).entries[0][0] for seed in range(n)]
     f0 = sum(1 for e in vals if e is None) / n
@@ -210,7 +209,7 @@ def test_entry_sizes_invert_the_law_near_alpha_one():
     p = MeasureParams(20, 20, F(99, 100), F(-1, 2))
     a = sample_matrix(p, 11)
     u = np.random.default_rng(11).random(p.m * p.n)
-    p0 = entry_pmf(p.rho, p.t).p0
+    p0 = EntryDistribution(p.rho, p.t).p0
 
     def cdf(k):
         return 1 - (1 - p0) * p.rho ** k if k >= 0 else 0

@@ -402,3 +402,14 @@ def test_float_route_names_bo_domain():
     for p in BEYOND_BO:
         with pytest.raises(ValueError, match="Borodin-Okounkov.*mode=\"exact\""):
             lambda1_cdf_exact(p, 3, mode="float")
+
+
+def test_auto_route_beyond_bo_domain_is_exact():
+    # where the float route cannot run, `auto` takes the exact route at every
+    # h, not only at h <= 6; float parameters still meet the float route
+    hs = range(9)
+    auto = lambda1_cdf_exact(BEYOND_BO[0], hs)
+    assert all(isinstance(v, F) for v in auto)
+    assert auto == lambda1_cdf_exact(BEYOND_BO[0], hs, mode="exact")
+    with pytest.raises(ValueError, match="Borodin-Okounkov"):
+        lambda1_cdf_exact(MeasureParams(2, 2, 0.5, -3.0), hs)
