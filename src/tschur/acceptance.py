@@ -57,24 +57,14 @@ def criterion_02():
 
 
 def criterion_03():
-    ok = True
-    for m in (1, 2, 3):
-        for n in (1, 2, 3):
-            for t in T_VALUES:
-                good, _ = cauchy_check(m, n, t, 8)
-                ok = ok and good
+    ok = all(cauchy_check(m, n, t, 8)[0] for m in (1, 2, 3) for n in (1, 2, 3) for t in T_VALUES)
     return ok, "Cauchy identity degreewise to alpha^8 on {1,2,3}^2"
 
 
 def criterion_04():
-    degree = 40
-    ok = True
-    for m in (1, 2, 3):
-        for n in (1, 2, 3):
-            for t in T_VALUES:
-                for h in range(5):
-                    good, _ = numerics.gessel_check(m, n, t, h, degree)
-                    ok = ok and good
+    # one pass per (m, n, t) checks every h <= 4
+    ok = all(numerics.gessel_check(m, n, t, 4, 40)[0]
+             for m in (1, 2, 3) for n in (1, 2, 3) for t in T_VALUES)
     return ok, "Gessel partition sum equals Toeplitz det to alpha^40 (h<=4)"
 
 

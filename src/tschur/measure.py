@@ -270,9 +270,9 @@ def lambda1_cdf_exact(params, h, mode="auto"):
     the rationals; the float route evaluates the same quantity as the
     finite-section Fredholm determinant of the Hankel product, which stays
     numerically meaningful at sizes where the raw Toeplitz determinant
-    drowns in cancellation.  `mode` may force "exact" or "float"; "auto"
-    takes the exact route for exact parameters and h <= 6, and for every h
-    where the float route cannot run (|t alpha| >= 1).
+    drowns in cancellation.  Both routes run on the whole domain t <= 0.
+    `mode` may force "exact" or "float"; "auto" takes the exact route for
+    exact parameters and h <= 6.
 
     `h` may be an int or a sequence of ints; a sequence returns a list with
     the value of each h, its route chosen per h as for a single call.  All
@@ -287,8 +287,7 @@ def lambda1_cdf_exact(params, h, mode="auto"):
     if mode == "exact" and not params.exact:
         raise ValueError("the exact route (Toeplitz determinant over the rationals) "
                          "needs rational alpha and t; pass Fractions")
-    exacts = [hh for hh in hs if mode == "exact" or (mode == "auto" and params.exact and (
-        hh <= 6 or not numerics.in_bo_domain(params)))]
+    exacts = [hh for hh in hs if mode == "exact" or (mode == "auto" and params.exact and hh <= 6)]
     floats = [hh for hh in hs if hh not in exacts]
     vals = dict(zip(floats, numerics.bo_cdf(params, floats))) if floats else {}
     if exacts:

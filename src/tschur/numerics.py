@@ -5,12 +5,13 @@ y = alpha^n; its Fourier coefficients reduce to the finite sum
 phi_k = sum_j e_j(x;t) e_{j+k}(y), because e_l(y) vanishes beyond l = n.
 det T_h(phi)/Z_t is the lambda_1 CDF (Gessel identity); the same quantity is
 recovered as a finite-section Fredholm determinant of a Hankel product
-(Borodin-Okounkov), which serves as an independent cross-check.  The exact
-det T_h is computed in integers by fraction-free Levinson, O(h^2)
-operations, and a grid of h shares one pass: its leading minors.  The
-Hankel entries psi_k are (-alpha)^k times a polynomial in k of degree n-1
-or m-1 with rational coefficients; they are built in integer arithmetic
-and each is rounded once to a double.
+(Borodin-Okounkov), which serves as an independent cross-check.  One
+fraction-free Levinson recurrence, O(h^2) ring operations, computes det T_h
+over the rationals and over alpha-series (for the degreewise Gessel check),
+each cleared to integer coefficients; a grid of h shares one pass: its
+leading minors.  The Hankel entries psi_k are (-alpha)^k times a polynomial
+in k of degree n-1 or m-1 with rational coefficients; they are built in
+integer arithmetic and each is rounded once to a double.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from numbers import Rational
 
 import numpy as np
 
-from .series import TruncatedSeries, det_expansion, det_gauss, first_mismatch
+from .series import TruncatedSeries, det_gauss, first_mismatch
 from .symfunc import SpecializedVars, gen_e_coeffs, on_even_degrees, weights_by_size
 
 _CDF_TOL = 1e-8  # largest excursion outside [0, 1] that `bo_cdf` accepts
@@ -64,9 +65,8 @@ def symbol_phi(params, kmin, kmax, exact=True):
     """Coefficients of phi = E~_{x,t} E_y on the index window [kmin, kmax].
 
     The sums run in the scalars of `params`: exact rationals for rational
-    parameters, on the whole domain (each phi_k is a finite sum; only the
-    Borodin-Okounkov route needs |t alpha| < 1).  `exact=False`, the former
-    double-precision route, is no longer offered.
+    parameters, on the whole domain t <= 0 (each phi_k is a finite sum).
+    `exact=False`, the former double-precision route, is no longer offered.
     """
     if kmin > 0 or kmax < 0:
         raise ValueError("window must contain 0")
@@ -104,9 +104,9 @@ def toeplitz_det(sym, h):
 
     `h` may be an int or a sequence of ints (returns a list with one value
     per h); every det T_k is a prefix value of one pass at the largest h.
-    The symbol must be rational: the fraction-free Levinson pass of
-    `_leading_minors` takes O(h^2) integer operations, and an h beyond a
-    vanishing leading minor takes `det_gauss`.
+    The symbol must be rational or an alpha-series one: the fraction-free
+    Levinson pass of `_leading_minors` takes O(h^2) ring operations, and an
+    h beyond a vanishing leading minor takes `det_gauss`.
     """
     single = np.ndim(h) == 0
     hs = [h] if single else list(h)
@@ -124,30 +124,59 @@ def _exact_div(num, den):
     return q
 
 
+def _exact_series_div(num, den):
+    """num / den for series with integer coefficients (den may be an int),
+    by truncated long division; each coefficient goes through `_exact_div`."""
+    d = den.coeffs if isinstance(den, TruncatedSeries) else [den]
+    q = []
+    for j, nj in enumerate(num.coeffs):
+        q.append(_exact_div(nj - sum(map(operator.mul, d[1 : j + 1], reversed(q))), d[0]))
+    return TruncatedSeries(q, num.order)
+
+
 def _leading_minors(sym, h):
-    """[det T_0, ..., det T_k] as Fractions, with k = h unless a leading
-    minor below h - 1 vanishes (then k is its order plus one).  Every entry
-    must be rational.
+    """[det T_0, ..., det T_k] as Fractions (alpha-series for such a symbol),
+    with k = h unless a leading minor below h - 1 vanishes (then k is its
+    order plus one).
 
     After the conjugation phi_k -> a^k phi_k (a = `sym.scale`) the entries
-    are cleared to integers c_k = D a^k phi_k.  With d_k = det C_k and the
-    adjugate columns A, B of C_k (C_k A = d_k e_1, C_k B = d_k e_k), the
-    step to order k+1 with g = sum_j c_{k-j} A_j and e = sum_j c_{-1-j} B_j
-    is
+    are cleared with one denominator D, to integers or to series with integer
+    coefficients, and `_levinson` runs with that ring's exact division; then
+    det T_k = d_k / D^k.  An alpha-series symbol has T_h = I mod alpha, so
+    each d_k has the constant term D^k and long division by it is exact.
+    """
+    a = Fraction(sym.scale)
+    entries = [sym.coeff(k) * a ** k for k in range(1 - h, h)]
+    if entries and all(isinstance(v, TruncatedSeries) for v in entries):
+        w = min(v.order for v in entries) + 1
+        flat, den = _integers([Fraction(x) for v in entries for x in v.coeffs[:w]])
+        c = [TruncatedSeries(flat[i : i + w]) for i in range(0, len(flat), w)]
+        div = _exact_series_div
+    elif all(isinstance(v, Rational) for v in entries):
+        c, den = _integers(entries)
+        div = _exact_div
+    else:
+        raise ValueError("the exact Toeplitz determinant needs rational (or alpha-series) "
+                         "symbol coefficients")
+    return [dk * Fraction(1, den ** k) for k, dk in enumerate(_levinson(c, h, div))]
+
+
+def _levinson(c, h, div):
+    """[d_0, ..., d_k], the leading minors of the h x h Toeplitz matrix with
+    entries c[h - 1 + k] = c_k in an integral domain whose exact division is
+    `div(num, den)`; k = h unless a minor below h - 1 vanishes (then k is
+    its order plus one).
+
+    With the adjugate columns A, B of C_k (C_k A = d_k e_1, C_k B = d_k e_k),
+    the step to order k+1 with g = sum_j c_{k-j} A_j and
+    e = sum_j c_{-1-j} B_j is
 
         d_{k+1} = (d_k^2 - g e) / d_{k-1}
         A' = (d_k [A; 0] - g [0; B]) / d_{k-1}
         B' = (d_k [0; B] - e [A; 0]) / d_{k-1},
 
-    every division exact (Bareiss, Numer. Math. 1969); then
-    det T_k = d_k / D^k.
+    every division exact (Bareiss, Numer. Math. 1969).
     """
-    entries = [sym.coeff(k) for k in range(1 - h, h)]
-    if not all(isinstance(v, Rational) for v in entries):
-        raise ValueError("the exact Toeplitz determinant needs rational symbol coefficients")
-    a = Fraction(sym.scale)
-    # c[h - 1 + k] = c_k
-    c, den = _integers([Fraction(v) * a ** k for k, v in zip(range(1 - h, h), entries)])
     dets = [1, c[h - 1]] if h else [1]
     A = B = [1]
     for k in range(1, h):
@@ -156,17 +185,19 @@ def _leading_minors(sym, h):
             break
         g = sum(map(operator.mul, reversed(c[h : h + k]), A))
         e = sum(map(operator.mul, reversed(c[h - 1 - k : h - 1]), B))
-        dets.append(_exact_div(dk * dk - g * e, dk1))
+        dets.append(div(dk * dk - g * e, dk1))
         if k + 1 < h:
             A0, B0 = A + [0], [0] + B
-            A = [_exact_div(dk * x - g * y, dk1) for x, y in zip(A0, B0)]
-            B = [_exact_div(dk * y - e * x, dk1) for x, y in zip(A0, B0)]
-    return [Fraction(dk, den ** k) for k, dk in enumerate(dets)]
+            A = [div(dk * x - g * y, dk1) for x, y in zip(A0, B0)]
+            B = [div(dk * y - e * x, dk1) for x, y in zip(A0, B0)]
+    return dets
 
 
 def toeplitz_det_series(sym, h):
-    """Toeplitz determinant with truncated-series entries (degreewise work)."""
-    return det_expansion(_toeplitz_rows(sym, h))
+    """det T_h of an alpha-series symbol (`symbol_phi_alpha_series`), as a
+    series through the entries' truncation order; `h` an int or a sequence,
+    as in `toeplitz_det`, whose pass it is."""
+    return toeplitz_det(sym, h)
 
 
 def gessel_lhs_alpha_series(m, n, t, h, degree):
@@ -177,13 +208,17 @@ def gessel_lhs_alpha_series(m, n, t, h, degree):
 
 
 def gessel_check(m, n, t, h, degree):
-    """Degreewise verification of Gessel's identity through alpha^degree:
-    the partition sum over lambda_1 <= h equals det T_h of the alpha-series
-    symbol.  Returns (ok, mismatch) as `symfunc.cauchy_check` does."""
-    lhs = gessel_lhs_alpha_series(m, n, t, h, degree)
+    """Degreewise verification of Gessel's identity through alpha^degree at
+    every h' <= h: the partition sum over lambda_1 <= h' equals det T_h' of
+    the alpha-series symbol, all det T_h' from one pass.  Returns (ok,
+    mismatch) as `symfunc.cauchy_check` does, with the mismatch
+    (h', k, lhs_k, rhs_k) at the first h' that fails."""
     sym = symbol_phi_alpha_series(m, n, t, -(max(h, 1) - 1), max(h - 1, 0), degree)
-    mismatch = first_mismatch(lhs, toeplitz_det_series(sym, h), degree)
-    return mismatch is None, mismatch
+    for hh, det in enumerate(toeplitz_det_series(sym, range(h + 1))):
+        mismatch = first_mismatch(gessel_lhs_alpha_series(m, n, t, hh, degree), det, degree)
+        if mismatch is not None:
+            return False, (hh, *mismatch)
+    return True, None
 
 
 def _taylor_ode(P, Q, count):
@@ -273,19 +308,6 @@ def _integers(coeffs):
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
-def in_bo_domain(params):
-    """Whether the Wiener-Hopf split behind `hankel_symbols` and `bo_cdf`
-    exists: it needs the coefficients to decay, |t alpha| < 1; the measure
-    itself does not."""
-    return abs(params.t * params.alpha) < 1
-
-
-def _check_decay(params):
-    if not in_bo_domain(params):
-        raise ValueError("the Borodin-Okounkov (float) route needs |t*alpha| < 1; "
-                         'use mode="exact" for the exact Toeplitz route')
-
-
 def hankel_symbols(params, kmin, kmax):
     """psi1_k and psi2_k for kmin <= k <= kmax, correctly rounded doubles.
 
@@ -304,7 +326,6 @@ def hankel_symbols(params, kmin, kmax):
     """
     if kmin < 1 or kmax < kmin:
         raise ValueError("need 1 <= kmin <= kmax")
-    _check_decay(params)
     m, n = params.m, params.n
     alpha, t = Fraction(params.alpha), Fraction(params.t)
     A, B = 1 - alpha * alpha, 1 - t * alpha * alpha
@@ -357,12 +378,12 @@ def bo_cdf(params, h):
 
 def default_section(params):
     """Tail size max(60, ceil(10 / log(1/a)), ceil(16 max(m,n)^(1/3))), with
-    a = alpha max(1, |t|): the decay rate of the coefficients, then the Airy
-    window of width ~ n^(1/3) that the section must clear before that decay
-    sets in.  It carries no certified bound: a^(10/log(1/a)) = e^-10 for one
-    neglected entry, before a factor polynomial in k of degree n - 1.
+    a = alpha: the decay rate of the Hankel entries (-alpha)^k P(k) on all
+    t <= 0, then the Airy window of width ~ n^(1/3) that the section must
+    clear before that decay sets in.  It carries no certified bound:
+    a^(10/log(1/a)) = e^-10 for one neglected entry, before a factor
+    polynomial in k of degree n - 1.
     """
-    _check_decay(params)
-    a = float(params.alpha) * max(1.0, abs(float(params.t)))
+    a = float(params.alpha)
     tail = max(60, math.ceil(10 / math.log(1 / a)))
     return int(max(tail, math.ceil(16 * max(params.m, params.n) ** (1.0 / 3.0))))

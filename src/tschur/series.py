@@ -3,8 +3,9 @@
 A series holds the coefficients of X^0, ..., X^order in any field Python can
 compute with (Fraction for exact identity work, float elsewhere); everything
 above ``order`` is unknown.  The Cauchy and Gessel identities are checked
-degreewise on such series: `det_gauss` takes determinants over a field,
-`det_expansion` over a ring such as the series themselves.
+degreewise on such series.  `det_gauss` takes determinants over a field;
+the Toeplitz determinants with series entries come from the Levinson
+recurrence of `numerics.toeplitz_det`.
 """
 
 from __future__ import annotations
@@ -140,19 +141,3 @@ def det_gauss(rows):
                     a[r][c] = a[r][c] - factor * a[col][c]
     return det if sign > 0 else -det
 
-
-
-def det_expansion(rows):
-    """Determinant by cofactor expansion along the first row.
-
-    Division-free, so valid over any commutative ring (e.g. TruncatedSeries
-    entries); O(n!) products, meant for the small matrices that arise in
-    degreewise identity checks.  The 0x0 determinant is 1.
-    """
-    if len(rows) <= 1:
-        return rows[0][0] if rows else Fraction(1)
-    total = 0
-    for j, a in enumerate(rows[0]):
-        term = a * det_expansion([r[:j] + r[j + 1:] for r in rows[1:]])
-        total = total - term if j % 2 else total + term
-    return total

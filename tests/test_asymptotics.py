@@ -227,6 +227,13 @@ def test_convergence_experiment_small():
         assert got == [scaled_cdf(params, data, s) for s in (-2.0, 0.0, 2.0)]
 
 
+def test_convergence_experiment_beyond_bo_domain():
+    # |t alpha| = 3/2: the float route runs on the whole domain t <= 0
+    rows, summary = convergence_experiment(0.5, 1.0, -3.0, [25, 50], [-3.0, 0.0, 2.0])
+    assert not any("error" in row for row in rows) and len(rows) == 6
+    assert all(s["sup_distance"] < 0.1 for s in summary)
+
+
 def test_convergence_experiment_rejects_fractional_m():
     with pytest.raises(ValueError):
         convergence_experiment(0.5, 0.33, 0.0, [10], [0.0])

@@ -77,19 +77,28 @@ def test_unusable_file_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
     assert err.count("\n") == 1 and not list(tmp_path.iterdir())
 
 
-def test_dist_exact_route_beyond_bo_domain():
-    """|t alpha| = 3/2: the Borodin-Okounkov route cannot run, so `auto`
-    prints the exact route's rows at every h, and `--mode float` refuses
-    with a usage error naming that route."""
+def _dist_rows(capsys, args):
+    from tschur.cli import main
+
+    assert main(args.split()) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    return [[float(x) for x in l.split(",")] for l in out.splitlines() if l[0].isdigit()]
+
+
+def test_dist_exact_route_beyond_bo_domain(capsys):
+    """|t alpha| >= 1: `auto` prints the exact route's rows at h <= 6, and
+    the float route's rows equal the exact ones within 1e-12, also at
+    n = 25 out to h = 70."""
     args = "dist --m 2 --n 2 --alpha 1/2 --t=-3 --h-max 8 --mode {}"
-    exact, auto, flt = (run_cli(*args.format(mode).split()) for mode in ("exact", "auto", "float"))
-    assert exact.returncode == 0 and auto.returncode == 0, exact.stderr + auto.stderr
-    rows = [l for l in exact.stdout.splitlines() if l[0].isdigit()]
-    assert [l.split(",")[0] for l in rows] == list("012345678")
-    assert [l for l in auto.stdout.splitlines() if l[0].isdigit()] == rows
-    assert flt.returncode == 2 and flt.stdout == ""
-    assert flt.stderr.startswith("error: the Borodin-Okounkov (float) route")
-    assert 'mode="exact"' in flt.stderr
+    exact, auto = (_dist_rows(capsys, args.format(mode)) for mode in ("exact", "auto"))
+    assert [row[0] for row in exact] == list(range(9))
+    assert auto[:7] == exact[:7]
+    args = "dist --m 25 --n 25 --alpha 1/2 --t=-3 --h-max 70 --mode {}"
+    exact, flt = (_dist_rows(capsys, args.format(mode)) for mode in ("exact", "float"))
+    assert [row[0] for row in flt] == list(range(71))
+    assert all(abs(x[1] - y[1]) < 1e-12 for x, y in zip(exact, flt))
+    assert exact[30][1] < 1e-16 and exact[70][1] > 0.99  # the whole law
 
 
 def test_dist_csv_and_metadata():

@@ -107,6 +107,17 @@ def test_sample_lambda1_follows_law_at_m_ne_n():
     assert ks_distance(draws, p, mode="exact") < dkw
 
 
+@pytest.mark.parametrize("p", [MeasureParams(3, 3, F(1, 2), F(-3)),
+                               MeasureParams(2, 3, F(2, 3), F(-5)),
+                               MeasureParams(6, 4, F(1, 2), F(-6))])
+def test_sample_lambda1_follows_law_beyond_bo_domain(p):
+    # |t alpha| >= 1: the sampler against the exact CDF, at the DKW radius
+    # for false alarm 1e-9 (0.023 at 20000 draws)
+    draws = sample_lambda1(p, 20000, seed=11)
+    dkw = math.sqrt(math.log(2 / 1e-9) / (2 * len(draws)))
+    assert ks_distance(draws, p, mode="exact") < dkw
+
+
 def _spawned_words(seed, start, count):
     children = np.random.SeedSequence(seed).spawn(start + count)[start:]
     return np.stack([c.generate_state(4, np.uint64) for c in children])

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from tschur.measure import MeasureParams, lambda1_cdf_exact, lambda1_cdf_exact_oracle, z_norm
 from tschur import numerics
-from tschur.series import det_gauss
+from tschur.series import TruncatedSeries, det_gauss
 
 F = Fraction
 
@@ -91,6 +91,11 @@ def test_levinson_division_is_checked():
     assert numerics._exact_div(-12, 4) == -3
     with pytest.raises(ArithmeticError):
         numerics._exact_div(7, 2)
+    # (2 + X)(1 + X) = 2 + 3X + X^2 over integer series; 1 + X over 2 leaves 1/2
+    q = numerics._exact_series_div(TruncatedSeries([2, 3, 1]), TruncatedSeries([1, 1, 0]))
+    assert q == TruncatedSeries([2, 1, 0])
+    with pytest.raises(ArithmeticError):
+        numerics._exact_series_div(TruncatedSeries([1, 1]), TruncatedSeries([2, 0]))
 
 
 def test_exact_grid_matches_single_calls(monkeypatch):
@@ -129,11 +134,19 @@ def test_exact_route_refuses_float_parameters():
 
 
 def test_gessel_identity_degreewise():
+    # one Levinson pass per (m, n, t) gives every det T_h, h <= 8
     for (m, n) in ((2, 2), (3, 2)):
         for t in (F(0), F(-1)):
-            for h in range(4):
-                ok, mismatch = numerics.gessel_check(m, n, t, h, 20)
-                assert ok, (m, n, t, h, mismatch)
+            ok, mismatch = numerics.gessel_check(m, n, t, 8, 20)
+            assert ok, (m, n, t, mismatch)
+
+
+def test_gessel_check_names_the_failing_h(monkeypatch):
+    lhs = numerics.gessel_lhs_alpha_series
+    monkeypatch.setattr(numerics, "gessel_lhs_alpha_series",
+                        lambda m, n, t, h, degree: lhs(m, n, t, h, degree) + (1 if h == 3 else 0))
+    ok, mismatch = numerics.gessel_check(2, 2, F(-1), 5, 10)
+    assert not ok and mismatch[:2] == (3, 0)
 
 
 def test_alpha_series_symbol_consistency():
@@ -258,8 +271,9 @@ def test_hankel_symbols_validation():
         numerics.hankel_symbols(params(), 0, 5)
     with pytest.raises(ValueError):
         numerics.hankel_symbols(params(), 5, 4)
-    with pytest.raises(ValueError):
-        numerics.hankel_symbols(MeasureParams(1, 1, F(1, 2), F(-3)), 1, 5)
+    # |t alpha| >= 1 is no error: the entries decay like alpha^k on all t <= 0
+    psi1, psi2 = numerics.hankel_symbols(MeasureParams(1, 1, F(1, 2), F(-3)), 1, 5)
+    assert len(psi1) == len(psi2) == 5
 
 
 def test_bo_cdf_tail_and_degenerate_limits():
@@ -386,7 +400,9 @@ def test_e_phi_equals_z_norm():
         assert math.isclose(e, float(z_norm(p)), rel_tol=1e-10)
 
 
-# |t alpha| >= 1: outside the Borodin-Okounkov route's domain, inside the measure's
+# |t alpha| >= 1: outside the Wiener-Hopf split on the unit circle, inside the
+# measure's domain and the Borodin-Okounkov identity's (by analytic continuation
+# in t of det T_h / Z_t = det(I - H1 H2) from |t alpha| < 1)
 BEYOND_BO = [MeasureParams(2, 2, F(1, 2), F(-3)), MeasureParams(3, 2, F(1, 2), F(-4)),
              MeasureParams(2, 3, F(2, 3), F(-5)), MeasureParams(3, 3, F(1, 2), F(-3))]
 
@@ -398,18 +414,21 @@ def test_exact_route_beyond_bo_domain_equals_oracle():
                                                            for h in hs]
 
 
-def test_float_route_names_bo_domain():
-    for p in BEYOND_BO:
-        with pytest.raises(ValueError, match="Borodin-Okounkov.*mode=\"exact\""):
-            lambda1_cdf_exact(p, 3, mode="float")
+def test_float_route_beyond_bo_domain_equals_exact():
+    hs = range(13)
+    for p in BEYOND_BO + [MeasureParams(6, 6, F(1, 2), F(-6))]:
+        exact = lambda1_cdf_exact(p, hs, mode="exact")
+        for h, x, y in zip(hs, exact, lambda1_cdf_exact(p, hs, mode="float")):
+            assert abs(float(x) - y) < 1e-12, (p, h)
 
 
-def test_auto_route_beyond_bo_domain_is_exact():
-    # where the float route cannot run, `auto` takes the exact route at every
-    # h, not only at h <= 6; float parameters still meet the float route
-    hs = range(9)
+def test_auto_route_beyond_bo_domain_matches_exact():
+    # `auto` splits at h = 6 there as everywhere: exact below, float above;
+    # float parameters take the float route at every h
+    hs = range(13)
+    exact = lambda1_cdf_exact(BEYOND_BO[0], hs, mode="exact")
     auto = lambda1_cdf_exact(BEYOND_BO[0], hs)
-    assert all(isinstance(v, F) for v in auto)
-    assert auto == lambda1_cdf_exact(BEYOND_BO[0], hs, mode="exact")
-    with pytest.raises(ValueError, match="Borodin-Okounkov"):
-        lambda1_cdf_exact(MeasureParams(2, 2, 0.5, -3.0), hs)
+    assert auto[:7] == exact[:7] and not any(isinstance(v, F) for v in auto[7:])
+    floats = lambda1_cdf_exact(MeasureParams(2, 2, 0.5, -3.0), hs)
+    for x, y, z in zip(exact, auto, floats):
+        assert abs(float(x) - y) < 1e-12 and abs(float(x) - z) < 1e-12

@@ -1,14 +1,16 @@
 """Truncated-series arithmetic and the exact determinant helpers."""
 
 import hashlib
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tschur.numerics import symbol_phi_alpha_series, toeplitz_det_series
-from tschur.series import TruncatedSeries, det_expansion, det_gauss
+from tschur.numerics import SymbolCoefficients, symbol_phi_alpha_series, toeplitz_det_series
+from tschur.series import TruncatedSeries, det_gauss
 from tschur.symfunc import cauchy_rhs_series, gen_e_coeffs, gen_h_coeffs
 
 F = Fraction
@@ -84,15 +86,12 @@ def test_inverse_roundtrip_property(coeffs):
 
 def test_det_empty_and_singular():
     assert det_gauss([]) == 1
-    assert det_expansion([]) == 1
     assert det_gauss([[F(1), F(2)], [F(2), F(4)]]) == 0
-    assert det_expansion([[F(1), F(2)], [F(2), F(4)]]) == 0
 
 
 def test_det_gauss_known_value():
     rows = [[F(2), F(1), F(0)], [F(1), F(3), F(1)], [F(0), F(1), F(4)]]
     assert det_gauss(rows) == F(18)
-    assert det_expansion(rows) == F(18)
 
 
 @settings(max_examples=40, deadline=None)
@@ -106,15 +105,23 @@ def test_det_gauss_known_value():
     )
 )
 def test_det_routes_agree(rows):
-    assert det_gauss(rows) == det_expansion(rows)
+    # Leibniz: the sum over permutations p of sign(p) prod_i rows[i][p(i)]
+    def sign(p):
+        inversions = sum(a > b for a, b in itertools.combinations(p, 2))
+        return -1 if inversions % 2 else 1
+
+    n = len(rows)
+    leibniz = sum(sign(p) * math.prod(rows[i][p[i]] for i in range(n))
+                  for p in itertools.permutations(range(n)))
+    assert det_gauss(rows) == leibniz
 
 
-def test_det_expansion_over_series_entries():
-    # ring without division: series entries
+def test_toeplitz_det_series_over_series_entries():
+    # phi_0 = 1, phi_{+-1} = X: det [[1, X], [X, 1]] = 1 - X^2 over the series
     x = TruncatedSeries([F(0), F(1)], 4)
     one = TruncatedSeries([F(1)], 4)
-    d = det_expansion([[one, x], [x, one]])
-    assert d == one - x * x
+    d = toeplitz_det_series(SymbolCoefficients(-1, 1, [x, one, x]), 2)
+    assert d == one - x * x and d.order == 4
 
 
 def _digest(series_list):
