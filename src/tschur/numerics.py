@@ -196,7 +196,9 @@ def _levinson(c, h, div):
 def toeplitz_det_series(sym, h):
     """det T_h of an alpha-series symbol (`symbol_phi_alpha_series`), as a
     series through the entries' truncation order; `h` an int or a sequence,
-    as in `toeplitz_det`, whose pass it is."""
+    as in `toeplitz_det`, whose pass it is.  Every leading minor must have a
+    nonzero constant term, as T_h = I mod alpha ensures: a field is needed
+    to go past a vanishing one."""
     return toeplitz_det(sym, h)
 
 
