@@ -15,8 +15,9 @@ the same untraced workloads and Tier-1; the two checkouts alternate seed by
 seed, and which goes first alternates too, so that both meet the same
 machine.  Each side's metrics are summarised by their median and quartiles
 over the seeds, and `faster_pairs` counts the seeds at which this checkout
-was lower.  Run it on a committed tree: the file records the sha and whether
-the work tree was clean."""
+was lower.  `src_lines` holds each side's `wc -l src/tschur/*.py` total,
+the line count that the ROADMAP's design aim reads.  Run it on a committed
+tree: the file records the sha and whether the work tree was clean."""
 
 from __future__ import annotations
 
@@ -91,6 +92,11 @@ def layer_spans(checkout, workload):
     return json.loads(res.stdout.strip().splitlines()[-1])
 
 
+def src_lines(checkout):
+    """`wc -l src/tschur/*.py` in `checkout`: the newlines of its modules."""
+    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "tschur").glob("*.py"))
+
+
 def timed(checkout, argv):
     """Wall seconds, exit code and last line of stdout of one command run in `checkout`."""
     t0 = perf_counter()
@@ -141,6 +147,7 @@ def bench(args, sides):
                     "python": platform.python_version()},
         "command": " ".join([Path(sys.argv[0]).name] + sys.argv[1:]),
         "seconds": SECONDS,
+        "src_lines": {side: src_lines(checkout) for side, checkout in sides.items()},
         "workloads": {},
     }
     for workload in WORKLOADS:

@@ -284,6 +284,8 @@ def lambda1_cdf_exact(params, h, mode="auto"):
     hs = [h] if single else list(h)
     if any(hh < 0 for hh in hs):
         raise ValueError("h must be nonnegative")
+    if mode not in ("auto", "exact", "float"):
+        raise ValueError(f"mode must be 'auto', 'exact' or 'float', not {mode!r}")
     if mode == "exact" and not params.exact:
         raise ValueError("the exact route (Toeplitz determinant over the rationals) "
                          "needs rational alpha and t; pass Fractions")

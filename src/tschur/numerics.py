@@ -11,7 +11,7 @@ over the rationals and over alpha-series (for the degreewise Gessel check),
 each cleared to integer coefficients; a grid of h shares one pass: its
 leading minors.  The Hankel entries psi_k are (-alpha)^k times a polynomial
 in k of degree n-1 or m-1 with rational coefficients; they are built in
-integer arithmetic and each is rounded once to a double.
+integer arithmetic (by `series._taylor_ode`) and each is rounded once.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from numbers import Rational
 
 import numpy as np
 
-from .series import TruncatedSeries, det_gauss, first_mismatch
+from .series import TruncatedSeries, _taylor_ode, det_gauss, first_mismatch
 from .symfunc import SpecializedVars, gen_e_coeffs, on_even_degrees, weights_by_size
 
 _CDF_TOL = 1e-8  # largest excursion outside [0, 1] that `bo_cdf` accepts
@@ -106,7 +106,8 @@ def toeplitz_det(sym, h):
     per h); every det T_k is a prefix value of one pass at the largest h.
     The symbol must be rational or an alpha-series one: the fraction-free
     Levinson pass of `_leading_minors` takes O(h^2) ring operations, and an
-    h beyond a vanishing leading minor takes `det_gauss`.
+    h beyond a vanishing leading minor takes `det_gauss` (for a rational
+    symbol; `toeplitz_det_series` states the alpha-series precondition).
     """
     single = np.ndim(h) == 0
     hs = [h] if single else list(h)
@@ -142,8 +143,9 @@ def _leading_minors(sym, h):
     After the conjugation phi_k -> a^k phi_k (a = `sym.scale`) the entries
     are cleared with one denominator D, to integers or to series with integer
     coefficients, and `_levinson` runs with that ring's exact division; then
-    det T_k = d_k / D^k.  An alpha-series symbol has T_h = I mod alpha, so
-    each d_k has the constant term D^k and long division by it is exact.
+    det T_k = d_k / D^k.  Over alpha-series the divisors, the minors below
+    h - 1, need constant terms (the minors of T_h mod alpha) that do not
+    vanish; T_h = I mod alpha gives D^k, and long division by it is exact.
     """
     a = Fraction(sym.scale)
     entries = [sym.coeff(k) * a ** k for k in range(1 - h, h)]
@@ -151,6 +153,8 @@ def _leading_minors(sym, h):
         w = min(v.order for v in entries) + 1
         flat, den = _integers([Fraction(x) for v in entries for x in v.coeffs[:w]])
         c = [TruncatedSeries(flat[i : i + w]) for i in range(0, len(flat), w)]
+        if 0 in _levinson([v.coeffs[0] for v in c], h, _exact_div)[: h - 1]:
+            raise ValueError("alpha-series minors below h - 1 need a nonzero constant term")
         div = _exact_series_div
     elif all(isinstance(v, Rational) for v in entries):
         c, den = _integers(entries)
@@ -196,9 +200,9 @@ def _levinson(c, h, div):
 def toeplitz_det_series(sym, h):
     """det T_h of an alpha-series symbol (`symbol_phi_alpha_series`), as a
     series through the entries' truncation order; `h` an int or a sequence,
-    as in `toeplitz_det`, whose pass it is.  Every leading minor must have a
-    nonzero constant term, as T_h = I mod alpha ensures: a field is needed
-    to go past a vanishing one."""
+    as in `toeplitz_det`, whose pass it is.  Every leading minor below h - 1
+    must have a nonzero constant term, as T_h = I mod alpha ensures, or it
+    raises ValueError."""
     return toeplitz_det(sym, h)
 
 
@@ -221,29 +225,6 @@ def gessel_check(m, n, t, h, degree):
         if mismatch is not None:
             return False, (hh, *mismatch)
     return True, None
-
-
-def _taylor_ode(P, Q, count):
-    """Integers Y_0..Y_{count-1} with y_l = y_0 Y_l / (P_0^l l!), where
-    y = sum_l y_l w^l solves P(w) y' = Q(w) y.
-
-    P and Q are integer coefficient lists, P_0 != 0.  The coefficients obey
-    P_0 (l+1) y_{l+1} = sum_i Q_i y_{l-i} - sum_{i>=1} P_i (l+1-i) y_{l+1-i};
-    scaled by P_0^l l! every step stays in integers, so no gcd runs.
-    """
-    Y = [1]
-    for l in range(count - 1):
-        acc, fall, power = 0, 1, 1  # fall = l!/(l-i)!, power = P_0^i
-        for i in range(min(l + 1, max(len(P), len(Q)))):
-            if i:
-                fall *= l - i + 1
-                if i < len(P):
-                    acc -= P[i] * power * fall * Y[l + 1 - i]
-                power *= P[0]
-            if i < len(Q):
-                acc += Q[i] * power * fall * Y[l - i]
-        Y.append(acc)
-    return Y
 
 
 def _hankel_entries(P, Q, y0, deg, alpha, kmin, kmax):

@@ -5,7 +5,8 @@ compute with (Fraction for exact identity work, float elsewhere); everything
 above ``order`` is unknown.  The Cauchy and Gessel identities are checked
 degreewise on such series.  `det_gauss` takes determinants over a field;
 the Toeplitz determinants with series entries come from the Levinson
-recurrence of `numerics.toeplitz_det`.
+recurrence of `numerics.toeplitz_det`.  `_taylor_ode`, the one Taylor
+recurrence of P y' = Q y, gives the e/h-coefficients and the Hankel factors.
 """
 
 from __future__ import annotations
@@ -141,3 +142,26 @@ def det_gauss(rows):
                     a[r][c] = a[r][c] - factor * a[col][c]
     return det if sign > 0 else -det
 
+
+def _taylor_ode(P, Q, count):
+    """Integers Y_0..Y_{count-1} with y_l = y_0 Y_l / (P_0^l l!), where
+    y = sum_l y_l w^l solves P(w) y' = Q(w) y.
+
+    P and Q are integer coefficient lists, P_0 != 0.  The coefficients obey
+    P_0 (l+1) y_{l+1} = sum_j Q_j y_{l-j} - sum_{j>=1} P_j (l+1-j) y_{l+1-j};
+    scaled by P_0^l l! and grouped by Y index, with (l)_j = l!/(l-j)!,
+
+        Y_{l+1} = sum_j P_0^j (l)_j (Q_j - (l-j) P_{j+1}) Y_{l-j},
+
+    all in integers (no gcd runs), one big product per term.
+    """
+    width = max(len(P) - 1, len(Q))
+    P1, Q = [*P[1:], *[0] * width][:width], [*Q, *[0] * width][:width]
+    Y = [1]
+    for l in range(count - 1):
+        acc, w = 0, 1  # w = P_0^j (l)_j
+        for j in range(min(l + 1, width)):
+            acc += w * (Q[j] - (l - j) * P1[j]) * Y[l - j]
+            w *= P[0] * (l - j)
+        Y.append(acc)
+    return Y

@@ -4,20 +4,22 @@ Everything here is exact: scalars are Fractions (or anything supporting
 field arithmetic), determinants are evaluated by Gaussian elimination, and a
 brute-force marked-tableau enumeration serves as an independent oracle for
 the determinantal S_lambda.  The e- and h-coefficients of a specialization
-x_1 = ... = x_m = x come from the first-order recurrences of
-((1+xz)/(1+txz))^m and ((1-txz)/(1-xz))^m, O(nmax) scalar operations, and
-each Jacobi-Trudi determinant is taken in the smaller of its two forms.
+x_1 = ... = x_m = x come from `series._taylor_ode`, the one Taylor recurrence,
+for ((1+xz)/(1+txz))^m and ((1-txz)/(1-xz))^m in O(nmax) integer operations,
+and each Jacobi-Trudi determinant is taken in the smaller of its two forms.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
 from .partitions import partitions
 from .rsk import Entry, MarkedTableau, _col_step, _row_step, validate_marked_tableau
-from .series import TruncatedSeries, det_gauss, first_mismatch
+from .series import TruncatedSeries, _taylor_ode, det_gauss, first_mismatch
 
 
 @dataclass(frozen=True)
@@ -37,10 +39,9 @@ def gen_e_coeffs(variables, t, nmax):
 
     `variables` is a SpecializedVars or an explicit list of scalars.  For a
     SpecializedVars, f = ((1+xz)/(1+txz))^m solves the first-order equation
-    (1+xz)(1+txz) f' = m x (1-t) f, whose coefficients give the O(nmax)
-    recurrence
-
-        (l+1) e_{l+1} = (m x (1-t) - (1+t) x l) e_l - t x^2 (l-1) e_{l-1}.
+    (1+xz)(1+txz) f' = m x (1-t) f, whose Taylor coefficients `_taylor_ode`
+    gives in O(nmax) integer operations.  A float x or t is taken at its
+    binary value, and each e_l is rounded once to a double.
     """
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
@@ -57,8 +58,8 @@ def gen_e_coeffs(variables, t, nmax):
 def gen_h_coeffs(variables, t, nmax):
     """Coefficients h_0(x;t), ..., h_nmax(x;t) of H(z) = 1/E(-z) =
     prod (1-t x_i z)/(1-x_i z), the entries of the h-form Jacobi-Trudi
-    determinant.  For a SpecializedVars, (1-xz)(1-txz) H' = m x (1-t) H gives
-    `gen_e_coeffs`'s recurrence with the sign of the (1+t) x l term flipped.
+    determinant.  For a SpecializedVars, (1-xz)(1-txz) H' = m x (1-t) H is
+    `gen_e_coeffs`'s equation with the sign of the (1+t) x z term flipped.
     """
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
@@ -69,27 +70,17 @@ def gen_h_coeffs(variables, t, nmax):
 
 
 def _specialized_coeffs(variables, t, nmax, sign):
-    """The recurrence of E (sign 1) or H (sign -1) at x_1 = ... = x_m = x.
-    Rational x and t run it on the integers E_l = l! D^l e_l, D = den(x) den(t):
-    E_{l+1} = (A - B l) E_l - C (l-1) l E_{l-1}, A = aD, B = bD, C = cD^2, and
-    normalise each e_l once; floats, whose bits a Fraction would not keep, run
-    the scalar loop."""
-    m, x = variables.count, variables.value
-    if not (isinstance(x, Rational) and isinstance(t, Rational)):
-        a, b, c = m * x * (1 - t), sign * (1 + t) * x, t * x * x
-        e = [1, a]
-        for l in range(1, nmax):
-            e.append(((a - b * l) * e[l] - c * (l - 1) * e[l - 1]) / (l + 1))
-        return TruncatedSeries(e, nmax)
-    x, t = Fraction(x), Fraction(t)
-    d = x.denominator * t.denominator
-    A, B, C = (int(v) for v in (m * x * (1 - t) * d, sign * (1 + t) * x * d, t * x * x * d * d))
-    big, e, scale = [1, A], [1, Fraction(A, d)], d
-    for l in range(1, nmax):
-        big.append((A - B * l) * big[l] - C * (l - 1) * l * big[l - 1])
-        scale *= (l + 1) * d
-        e.append(Fraction(big[l + 1], scale))
-    return TruncatedSeries(e, nmax)
+    """E (sign 1) or H (sign -1) at x_1 = ... = x_m = x = a/b, with t = c/d.
+    At Dz, D = bd, the series solves P y' = Q y for the integers P = [1,
+    sign (1+t) x D, t x^2 D^2] = [1, sign a (c+d), a^2 c d] and Q = [m x (1-t) D]
+    = [m a (d-c)], so `_taylor_ode` gives Y_l = l! D^l e_l, and each e_l is
+    Y_l / (l! D^l) once: a Fraction, or for a float x or t a correctly rounded
+    float (int / int)."""
+    m, exact = variables.count, isinstance(variables.value, Rational) and isinstance(t, Rational)
+    (a, b), (c, d) = Fraction(variables.value).as_integer_ratio(), Fraction(t).as_integer_ratio()
+    Y = _taylor_ode([1, sign * a * (c + d), c * a * a * d], [m * a * (d - c)], nmax + 1)
+    scales = itertools.accumulate((l * b * d for l in range(1, nmax + 1)), operator.mul)
+    return TruncatedSeries([1, *map(Fraction if exact else operator.truediv, Y[1:], scales)], nmax)
 
 
 def _jt_minor(shape, coeffs):
@@ -204,8 +195,7 @@ def on_even_degrees(coeffs, degree):
 
 def cauchy_rhs_series(m, n, t, degree):
     """Z_t = ((1 - t alpha^2)/(1 - alpha^2))^(mn) expanded through `degree`:
-    the h-series H(rho) of mn variables equal to 1, by `gen_h_coeffs`'s
-    recurrence."""
+    the h-series H(rho) of mn variables equal to 1, from `gen_h_coeffs`."""
     return on_even_degrees(gen_h_coeffs(SpecializedVars(m * n, 1), t, degree // 2).coeffs, degree)
 
 

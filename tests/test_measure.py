@@ -252,6 +252,17 @@ def test_cdf_float_matches_exact():
     assert all(isinstance(v, float) for v in auto[7:])
 
 
+def test_cdf_rejects_an_unknown_mode():
+    # an unknown mode used to be taken as "float": "Exact" returned 0.40205...
+    p = MeasureParams(3, 3, F(1, 2), F(-1, 2))
+    assert lambda1_cdf_exact(p, 2, mode="exact") == F(253237, 629856)
+    for mode in ("Exact", "fast", ""):
+        with pytest.raises(ValueError, match="mode"):
+            lambda1_cdf_exact(p, 2, mode=mode)
+        with pytest.raises(ValueError, match="mode"):
+            lambda1_cdf_exact(p, [1, 8], mode=mode)
+
+
 def test_cdf_monotone_and_limits():
     p = MeasureParams(4, 4, F(2, 5), F(-1))
     vals = [lambda1_cdf_exact(p, h, mode="float") for h in range(25)]

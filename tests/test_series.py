@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tschur.numerics import SymbolCoefficients, symbol_phi_alpha_series, toeplitz_det_series
-from tschur.series import TruncatedSeries, det_gauss
+from tschur.series import TruncatedSeries, _taylor_ode, det_gauss
 from tschur.symfunc import cauchy_rhs_series, gen_e_coeffs, gen_h_coeffs
 
 F = Fraction
@@ -122,6 +122,45 @@ def test_toeplitz_det_series_over_series_entries():
     one = TruncatedSeries([F(1)], 4)
     d = toeplitz_det_series(SymbolCoefficients(-1, 1, [x, one, x]), 2)
     assert d == one - x * x and d.order == 4
+
+
+def test_toeplitz_det_series_needs_unit_leading_minors():
+    # T_h mod alpha must have nonzero leading minors below h - 1; a zero minor
+    # used to reach det_gauss (TypeError), a zero constant term divmod (ZeroDivisionError)
+    x = TruncatedSeries([0, 1, 0, 0])
+    z, one = TruncatedSeries([0, 0, 0, 0]), TruncatedSeries([1, 0, 0, 0])
+    for coeffs in ([z, x, z, x, z], [one, x, x, x, one]):
+        sym = SymbolCoefficients(-2, 2, coeffs)
+        with pytest.raises(ValueError, match="nonzero constant term"):
+            toeplitz_det_series(sym, 3)
+        with pytest.raises(ValueError, match="nonzero constant term"):
+            toeplitz_det_series(sym, [1, 3])
+        assert toeplitz_det_series(sym, 2) == coeffs[2] * coeffs[2] - coeffs[1] * coeffs[3]
+
+
+def _fraction_taylor(P, Q, count):
+    """y_0 = 1, ..., y_{count-1} of P y' = Q y, one Fraction step at a time."""
+    coeff = lambda c, i: c[i] if 0 <= i < len(c) else 0
+    y = [F(1)]
+    for l in range(count - 1):
+        rhs = sum(coeff(Q, i) * y[l - i] for i in range(l + 1))
+        rhs -= sum(coeff(P, i) * (l + 1 - i) * y[l + 1 - i] for i in range(1, l + 1))
+        y.append(rhs / (P[0] * (l + 1)))
+    return y
+
+
+_ints = st.integers(-50, 50)
+
+
+@settings(max_examples=200, deadline=None)
+@given(P=st.lists(_ints, min_size=1, max_size=4).filter(lambda p: p[0] != 0),
+       Q=st.lists(_ints, min_size=1, max_size=4), count=st.integers(1, 25))
+def test_taylor_ode_matches_fraction_steps(P, Q, count):
+    # Y_l = P_0^l l! y_l, on shapes of P and Q beyond the two callers'
+    Y = _taylor_ode(P, Q, count)
+    y = _fraction_taylor(P, Q, count)
+    assert Y == [P[0] ** l * math.factorial(l) * y[l] for l in range(count)]
+    assert all(type(v) is int for v in Y)
 
 
 def _digest(series_list):

@@ -77,6 +77,11 @@ def test_rational_recurrence_matches_fraction_steps(x, t, m, nmax):
         coeffs = gen(SpecializedVars(m, x), t, nmax).coeffs
         assert coeffs == _fraction_recurrence(m, F(x), F(t), nmax, sign)
         assert all(type(c) is F for c in coeffs[1:])
+        # floats: the binary values of x and t, each coefficient rounded once
+        xf, tf = float(x), float(t)
+        coeffs = gen(SpecializedVars(m, xf), tf, nmax).coeffs
+        assert coeffs == [float(c) for c in _fraction_recurrence(m, F(xf), F(tf), nmax, sign)]
+        assert all(type(c) is float for c in coeffs[1:])
 
 
 def test_gen_e_rejects_negative_order():
