@@ -8,8 +8,8 @@ Each untraced run is `perfbench/run.py --workload W --seed S --trace 0`, for
 seeds 1..10, each as long as `run_seconds` in BENCHMARK.json; one traced run
 (`--trace 1`, seed 1) follows for each workload.  `layer_spans` then holds,
 for each side, the per-round calls, total and self seconds of every traced
-`symfunc` and `rsk` function (perfbench reports only those BENCHMARK.json
-declares), from TRACE_ROUNDS traced rounds of seed 1.  With `--baseline REV`, the
+function of every layer in `tracing.LAYERS` (perfbench reports only those
+BENCHMARK.json declares), from TRACE_ROUNDS traced rounds of seed 1.  With `--baseline REV`, the
 revision is unpacked with `git archive` into a temporary directory and runs
 the same untraced workloads and Tier-1; the two checkouts alternate seed by
 seed, and which goes first alternates too, so that both meet the same
@@ -47,7 +47,7 @@ ops = W.build(sys.argv[1], 1, W.References())
 rounds = [run.run_isolated(ops, tracing.Tracer())[1] for _ in range(int(sys.argv[2]))]
 spans, _ = run.merge_summaries(rounds)
 print(json.dumps({k: {f: v / len(rounds) for f, v in rec.items()} for k, rec in spans.items()
-                  if k.split(".")[0] in ("symfunc", "rsk")}, sort_keys=True))
+                  if k.split(".")[0] in tracing.LAYERS}, sort_keys=True))
 """
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"]
@@ -83,7 +83,8 @@ def perfbench(checkout, workload, seed, trace):
 
 
 def layer_spans(checkout, workload):
-    """Per-round span totals of the `symfunc` and `rsk` functions in `checkout`."""
+    """Per-round span totals of the traced functions of every layer in
+    `tracing.LAYERS`, in `checkout`."""
     res = subprocess.run([sys.executable, "-c", LAYER_TRACE, workload, str(TRACE_ROUNDS)],
                          cwd=checkout, capture_output=True, text=True)
     if res.returncode != 0:

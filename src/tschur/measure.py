@@ -9,6 +9,7 @@ Toeplitz-determinant CDF computed in `numerics`.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -25,7 +26,8 @@ _BLOCK_ENTRIES = 1 << 18  # matrix entries drawn at once by `sample_lambda1`
 
 @dataclass(frozen=True)
 class MeasureParams:
-    """Parameter tuple (m, n, alpha, t) of the specialized measure."""
+    """Parameter tuple (m, n, alpha, t) of the specialized measure; m and n
+    are kept as ints and a rational alpha or t as a Fraction of ints."""
 
     m: int
     n: int
@@ -33,8 +35,18 @@ class MeasureParams:
     t: object
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 1:
+        try:
+            m, n = operator.index(self.m), operator.index(self.n)
+        except TypeError:
+            raise ValueError("m and n must be positive integers") from None
+        if m < 1 or n < 1:
             raise ValueError("m and n must be positive integers")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        for name in ("alpha", "t"):
+            v = getattr(self, name)
+            if isinstance(v, Rational):
+                object.__setattr__(self, name, Fraction(int(v.numerator), int(v.denominator)))
         if not (0 < self.alpha < 1):
             raise ValueError("alpha must lie in (0, 1)")
         if self.t > 0:
@@ -280,10 +292,7 @@ def lambda1_cdf_exact(params, h, mode="auto"):
     `toeplitz_det` pass, whose leading minors are the determinants of the
     smaller h.
     """
-    single = np.ndim(h) == 0
-    hs = [h] if single else list(h)
-    if any(hh < 0 for hh in hs):
-        raise ValueError("h must be nonnegative")
+    single, hs = numerics._grid(h)
     if mode not in ("auto", "exact", "float"):
         raise ValueError(f"mode must be 'auto', 'exact' or 'float', not {mode!r}")
     if mode == "exact" and not params.exact:

@@ -9,9 +9,10 @@ recovered as a finite-section Fredholm determinant of a Hankel product
 fraction-free Levinson recurrence, O(h^2) ring operations, computes det T_h
 over the rationals and over alpha-series (for the degreewise Gessel check),
 each cleared to integer coefficients; a grid of h shares one pass: its
-leading minors.  The Hankel entries psi_k are (-alpha)^k times a polynomial
-in k of degree n-1 or m-1 with rational coefficients; they are built in
-integer arithmetic (by `series._taylor_ode`) and each is rounded once.
+leading minors, each below the largest h - 1 a divisor that must not vanish.
+The Hankel entries psi_k are (-alpha)^k times a polynomial in k of degree
+n-1 or m-1 with rational coefficients; they are built in integer arithmetic
+(by `series._taylor_ode`) and each is rounded once.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from numbers import Rational
 
 import numpy as np
 
-from .series import TruncatedSeries, _taylor_ode, det_gauss, first_mismatch
+from .series import TruncatedSeries, _taylor_ode, first_mismatch
+from .series import det_gauss  # noqa: F401 (looked up by perfbench's tracer test)
 from .symfunc import SpecializedVars, gen_e_coeffs, on_even_degrees, weights_by_size
 
 _CDF_TOL = 1e-8  # largest excursion outside [0, 1] that `bo_cdf` accepts
@@ -95,30 +97,53 @@ def symbol_phi_alpha_series(m, n, t, kmin, kmax, degree):
         for k, row in zip(range(kmin, kmax + 1), rows)])
 
 
-def _toeplitz_rows(sym, h):
-    return [[sym.coeff(i - j) for j in range(h)] for i in range(h)]
+def _grid(h):
+    """(single, hs) for an int h or a sequence of them, each read through
+    `operator.index` (a NumPy integer would overflow) and checked nonnegative."""
+    single = np.ndim(h) == 0
+    hs = [operator.index(hh) for hh in ([h] if single else h)]
+    if any(hh < 0 for hh in hs):
+        raise ValueError("h must be nonnegative")
+    return single, hs
 
 
 def toeplitz_det(sym, h):
-    """Exact determinant of the h x h Toeplitz slice T_h(phi).
+    """Exact determinant of the h x h Toeplitz slice T_h(phi), for a rational
+    or alpha-series symbol.
 
     `h` may be an int or a sequence of ints (returns a list with one value
-    per h); every det T_k is a prefix value of one pass at the largest h.
-    The symbol must be rational or an alpha-series one: the fraction-free
-    Levinson pass of `_leading_minors` takes O(h^2) ring operations, and an
-    h beyond a vanishing leading minor takes `det_gauss` (for a rational
-    symbol; `toeplitz_det_series` states the alpha-series precondition).
+    per h): the leading minors of one fraction-free `_levinson` pass at the
+    largest h, O(h^2) ring operations.  The entries, conjugated by
+    phi_k -> a^k phi_k (a = `sym.scale`), are cleared with one denominator D
+    to integers or integer-coefficient series, so det T_k = d_k / D^k.  The
+    pass divides by every d_k below the largest h - 1: each must be nonzero,
+    over alpha-series in its constant term, or ValueError is raised.  The
+    measure's d_k are D^k Z_t P(lambda_1 <= k) > 0, and T_h = I mod alpha.
     """
-    single = np.ndim(h) == 0
-    hs = [h] if single else list(h)
-    if any(hh < 0 for hh in hs):
-        raise ValueError("h must be nonnegative")
-    minors = _leading_minors(sym, max(hs, default=0))
-    vals = [minors[hh] if hh < len(minors) else det_gauss(_toeplitz_rows(sym, hh)) for hh in hs]
+    single, hs = _grid(h)
+    top = max(hs, default=0)
+    a = Fraction(sym.scale)
+    entries = [sym.coeff(k) * a ** k for k in range(1 - top, top)]
+    if entries and all(isinstance(v, TruncatedSeries) for v in entries):
+        w = min(v.order for v in entries) + 1
+        flat, den = _integers([Fraction(x) for v in entries for x in v.coeffs[:w]])
+        c = [TruncatedSeries(flat[i : i + w]) for i in range(0, len(flat), w)]
+        div = _exact_series_div
+    elif all(isinstance(v, Rational) for v in entries):
+        c, den = _integers(entries)
+        div = _exact_div
+    else:
+        raise ValueError("the exact Toeplitz determinant needs rational (or alpha-series) "
+                         "symbol coefficients")
+    minors = _levinson(c, top, div)
+    vals = [minors[hh] * Fraction(1, den ** hh) for hh in hs]
     return vals[0] if single else vals
 
 
 def _exact_div(num, den):
+    if not den:
+        raise ValueError("the Levinson pass divides by every leading minor below h - 1: "
+                         "each must be nonzero, over alpha-series with a nonzero constant term")
     q, r = divmod(num, den)
     if r:
         raise ArithmeticError(f"inexact division by {den} in the fraction-free Levinson pass")
@@ -135,41 +160,10 @@ def _exact_series_div(num, den):
     return TruncatedSeries(q, num.order)
 
 
-def _leading_minors(sym, h):
-    """[det T_0, ..., det T_k] as Fractions (alpha-series for such a symbol),
-    with k = h unless a leading minor below h - 1 vanishes (then k is its
-    order plus one).
-
-    After the conjugation phi_k -> a^k phi_k (a = `sym.scale`) the entries
-    are cleared with one denominator D, to integers or to series with integer
-    coefficients, and `_levinson` runs with that ring's exact division; then
-    det T_k = d_k / D^k.  Over alpha-series the divisors, the minors below
-    h - 1, need constant terms (the minors of T_h mod alpha) that do not
-    vanish; T_h = I mod alpha gives D^k, and long division by it is exact.
-    """
-    a = Fraction(sym.scale)
-    entries = [sym.coeff(k) * a ** k for k in range(1 - h, h)]
-    if entries and all(isinstance(v, TruncatedSeries) for v in entries):
-        w = min(v.order for v in entries) + 1
-        flat, den = _integers([Fraction(x) for v in entries for x in v.coeffs[:w]])
-        c = [TruncatedSeries(flat[i : i + w]) for i in range(0, len(flat), w)]
-        if 0 in _levinson([v.coeffs[0] for v in c], h, _exact_div)[: h - 1]:
-            raise ValueError("alpha-series minors below h - 1 need a nonzero constant term")
-        div = _exact_series_div
-    elif all(isinstance(v, Rational) for v in entries):
-        c, den = _integers(entries)
-        div = _exact_div
-    else:
-        raise ValueError("the exact Toeplitz determinant needs rational (or alpha-series) "
-                         "symbol coefficients")
-    return [dk * Fraction(1, den ** k) for k, dk in enumerate(_levinson(c, h, div))]
-
-
 def _levinson(c, h, div):
-    """[d_0, ..., d_k], the leading minors of the h x h Toeplitz matrix with
+    """[d_0, ..., d_h], the leading minors of the h x h Toeplitz matrix with
     entries c[h - 1 + k] = c_k in an integral domain whose exact division is
-    `div(num, den)`; k = h unless a minor below h - 1 vanishes (then k is
-    its order plus one).
+    `div(num, den)`, which must raise on a zero divisor d_k, k < h - 1.
 
     With the adjugate columns A, B of C_k (C_k A = d_k e_1, C_k B = d_k e_k),
     the step to order k+1 with g = sum_j c_{k-j} A_j and
@@ -185,8 +179,6 @@ def _levinson(c, h, div):
     A = B = [1]
     for k in range(1, h):
         dk, dk1 = dets[k], dets[k - 1]
-        if dk1 == 0:
-            break
         g = sum(map(operator.mul, reversed(c[h : h + k]), A))
         e = sum(map(operator.mul, reversed(c[h - 1 - k : h - 1]), B))
         dets.append(div(dk * dk - g * e, dk1))
@@ -199,10 +191,8 @@ def _levinson(c, h, div):
 
 def toeplitz_det_series(sym, h):
     """det T_h of an alpha-series symbol (`symbol_phi_alpha_series`), as a
-    series through the entries' truncation order; `h` an int or a sequence,
-    as in `toeplitz_det`, whose pass it is.  Every leading minor below h - 1
-    must have a nonzero constant term, as T_h = I mod alpha ensures, or it
-    raises ValueError."""
+    series through the entries' truncation order: `toeplitz_det`, with its
+    precondition (T_h = I mod alpha meets it)."""
     return toeplitz_det(sym, h)
 
 
@@ -336,8 +326,7 @@ def bo_cdf(params, h):
     determinant outside [0, 1] by more than _CDF_TOL raises ArithmeticError;
     inside, the value is returned as computed, not clamped.
     """
-    single = np.ndim(h) == 0
-    hs = [h] if single else list(h)
+    single, hs = _grid(h)
     if not hs:
         return []
     section = default_section(params)

@@ -30,6 +30,7 @@ class SpecializedVars:
     value: object
 
     def __post_init__(self):
+        object.__setattr__(self, "count", operator.index(self.count))
         if self.count < 0:
             raise ValueError("variable count must be nonnegative")
 
@@ -77,7 +78,7 @@ def _specialized_coeffs(variables, t, nmax, sign):
     Y_l / (l! D^l) once: a Fraction, or for a float x or t a correctly rounded
     float (int / int)."""
     m, exact = variables.count, isinstance(variables.value, Rational) and isinstance(t, Rational)
-    (a, b), (c, d) = Fraction(variables.value).as_integer_ratio(), Fraction(t).as_integer_ratio()
+    (a, b), (c, d) = (map(int, Fraction(v).as_integer_ratio()) for v in (variables.value, t))
     Y = _taylor_ode([1, sign * a * (c + d), c * a * a * d], [m * a * (d - c)], nmax + 1)
     scales = itertools.accumulate((l * b * d for l in range(1, nmax + 1)), operator.mul)
     return TruncatedSeries([1, *map(Fraction if exact else operator.truediv, Y[1:], scales)], nmax)

@@ -39,6 +39,24 @@ def test_params_validation():
     assert p.tau == 0.5 and p.rho == F(1, 4) and p.exact
 
 
+def test_params_read_numpy_integers_exactly():
+    # NumPy integers used to overflow in the integer recurrences and in
+    # Fraction ** np.int64: h = 1 gave -1.454 (true 7.7e-60), h = 3..6 an
+    # inexact division, t = np.int64(-1) at h = 2 gave -4.9e-86, Z_t 0.977
+    i64 = np.int64
+    q = MeasureParams(10, 10, F(4, 5), F(-1))
+    hs = range(1, 7)
+    for p in (MeasureParams(i64(10), i64(10), F(4, 5), F(-1)),
+              MeasureParams(10, 10, F(4, 5), i64(-1))):
+        assert (type(p.m), type(p.n), type(p.t.numerator)) == (int, int, int)
+        assert z_norm(p) == z_norm(q)
+        assert lambda1_cdf_exact(p, hs, mode="exact") == lambda1_cdf_exact(q, hs, mode="exact")
+    assert type(MeasureParams(2, 2, 0.4, -1.0).alpha) is float  # floats stay floats
+    for m in (2.5, "2", None):
+        with pytest.raises(ValueError, match="positive integers"):
+            MeasureParams(m, 2, F(1, 2), F(-1))
+
+
 def test_z_norm_value():
     p = MeasureParams(2, 2, F(1, 2), F(-1))
     assert z_norm(p) == F(625, 81)
@@ -276,6 +294,15 @@ def test_cdf_rejects_negative_h():
         lambda1_cdf_exact(MeasureParams(2, 2, F(1, 2), 0), -1)
     with pytest.raises(ValueError):
         lambda1_cdf_exact(MeasureParams(2, 2, F(1, 2), 0), [0, -1])
+
+
+def test_cdf_reads_numpy_integer_h():
+    # a NumPy h used to reach the float route's integer powers: OverflowError
+    # on the grid, AttributeError ('bit_length') at h = 9
+    p = MeasureParams(20, 20, F(1, 2), F(0))
+    assert lambda1_cdf_exact(p, np.array([30, 45, 70])) == lambda1_cdf_exact(p, [30, 45, 70])
+    q = MeasureParams(3, 3, F(1, 2), F(-1, 2))
+    assert lambda1_cdf_exact(q, np.int64(9)) == lambda1_cdf_exact(q, 9)
 
 
 def test_mc_cdf_consistent():

@@ -21,6 +21,10 @@ def params(m=2, n=2, a=F(1, 2), t=F(-1)):
     return MeasureParams(m, n, a, t)
 
 
+def toeplitz_rows(sym, h):
+    return [[sym.coeff(i - j) for j in range(h)] for i in range(h)]
+
+
 def test_symbol_window_validation():
     with pytest.raises(ValueError):
         numerics.symbol_phi(params(), 1, 3)
@@ -57,7 +61,7 @@ def test_toeplitz_det_cdf_normalizes():
     ):
         sym = numerics.symbol_phi(p, -(h - 1), h - 1, exact=True)
         det = numerics.toeplitz_det(sym, h)
-        assert det == det_gauss(numerics._toeplitz_rows(sym, h))
+        assert det == det_gauss(toeplitz_rows(sym, h))
         assert 0 < 1 - det / z_norm(p) < tail
 
 
@@ -81,10 +85,25 @@ def toeplitz_symbols(draw):
 @settings(max_examples=100, deadline=None)
 @given(toeplitz_symbols())
 def test_toeplitz_det_matches_gauss(case):
+    # the Levinson pass divides by the leading minors below h - 1: a zero one
+    # raises ValueError, and it used to send h to a Gaussian elimination
     sym, h = case
-    gauss = [det_gauss(numerics._toeplitz_rows(sym, hh)) for hh in range(h + 1)]
-    assert numerics.toeplitz_det(sym, h) == gauss[h]
-    assert numerics.toeplitz_det(sym, range(h + 1)) == gauss
+    gauss = [det_gauss(toeplitz_rows(sym, hh)) for hh in range(h + 1)]
+    if 0 in gauss[1 : max(h - 1, 0)]:
+        for arg in (h, range(h + 1)):
+            with pytest.raises(ValueError, match="leading minor below h - 1"):
+                numerics.toeplitz_det(sym, arg)
+    else:
+        assert numerics.toeplitz_det(sym, h) == gauss[h]
+        assert numerics.toeplitz_det(sym, range(h + 1)) == gauss
+
+
+def test_toeplitz_det_zero_constant_coefficient_raises():
+    # phi_0 = 0 makes det T_1 = 0, a divisor of the pass at h = 3
+    sym = numerics.SymbolCoefficients(-2, 2, [F(1), F(2), F(0), F(3), F(1, 2)])
+    assert numerics.toeplitz_det(sym, [1, 2]) == [0, -6]
+    with pytest.raises(ValueError, match="leading minor below h - 1"):
+        numerics.toeplitz_det(sym, 3)
 
 
 def test_levinson_division_is_checked():
@@ -104,13 +123,13 @@ def test_exact_grid_matches_single_calls(monkeypatch):
     single = [lambda1_cdf_exact(p, h, mode="exact") for h in hs]
     auto = [lambda1_cdf_exact(p, h) for h in hs]
     passes = []
-    minors = numerics._leading_minors
+    levinson = numerics._levinson
 
-    def counted(sym, h):
+    def counted(c, h, div):
         passes.append(h)
-        return minors(sym, h)
+        return levinson(c, h, div)
 
-    monkeypatch.setattr(numerics, "_leading_minors", counted)
+    monkeypatch.setattr(numerics, "_levinson", counted)
     assert lambda1_cdf_exact(p, hs, mode="exact") == single  # bit for bit
     assert lambda1_cdf_exact(p, hs) == auto
     assert passes == [12, 4]  # one pass per grid, at its largest exact h

@@ -3,6 +3,7 @@ oracle, and the Cauchy identity."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -82,6 +83,16 @@ def test_rational_recurrence_matches_fraction_steps(x, t, m, nmax):
         coeffs = gen(SpecializedVars(m, xf), tf, nmax).coeffs
         assert coeffs == [float(c) for c in _fraction_recurrence(m, F(xf), F(tf), nmax, sign)]
         assert all(type(c) is float for c in coeffs[1:])
+
+
+def test_gen_e_reads_numpy_integers_as_ints():
+    # NumPy integers used to overflow in the integer recurrence: a count of
+    # np.int64(40) gave e_30 = 2.75e-32 instead of 6.47e10
+    e = gen_e_coeffs(SpecializedVars(40, F(1, 2)), F(-1, 2), 30)
+    assert gen_e_coeffs(SpecializedVars(np.int64(40), F(1, 2)), F(-1, 2), 30) == e
+    assert type(SpecializedVars(np.int64(40), F(1, 2)).count) is int
+    assert gen_e_coeffs(SpecializedVars(40, F(1, 2)), np.int64(-1), 30) == \
+        gen_e_coeffs(SpecializedVars(40, F(1, 2)), F(-1), 30)
 
 
 def test_gen_e_rejects_negative_order():
