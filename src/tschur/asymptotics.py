@@ -20,12 +20,13 @@ from .tracy_widom import tw_f2
 
 
 def _check_ranges(alpha, tau, t):
+    """Each check fails for a NaN or infinite value, as a comparison with NaN is false."""
     if not (0 < alpha < 1):
         raise ValueError("alpha must lie in (0, 1)")
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    if t > 0:
-        raise ValueError("t must be nonpositive")
+    if not (0 < tau < math.inf):
+        raise ValueError("tau must be positive and finite")
+    if not (-math.inf < t <= 0):
+        raise ValueError("t must be nonpositive and finite")
 
 
 def saddle_root_function(alpha, tau, t):
@@ -112,7 +113,7 @@ def constants(alpha, tau, t):
         tau * (1 - t) / ((z0 - alpha) * (z0 - t * alpha)) + 1.0 / (1.0 - alpha * z0)
     )
     s3 = sigma_derivative(3, z0, alpha, tau, t, c)
-    if c <= 0 or s3 <= 0:
+    if not (0 < c < math.inf and 0 < s3 < math.inf):
         raise ArithmeticError("saddle data violates positivity")
     g = (2.0 / s3) ** (1.0 / 3.0) / z0
     return SaddleData(z0=z0, c=c, sigma3=s3, g=g)
@@ -160,8 +161,11 @@ def convergence_experiment(alpha, tau, t, n_list, s_grid, shift=-1):
     coefficients are built once per n.  Returns (rows, summary): rows are
     dicts with n, s, empirical_cdf, f2 and abs_diff (or n, s and error if
     the call for that n raised ArithmeticError); summary pairs each n with
-    its sup-distance over the grid.
+    its sup-distance over the grid, NaN for an n whose call raised.  An
+    empty `n_list` or `s_grid` measures nothing and raises ValueError.
     """
+    if not len(n_list) or not len(s_grid):
+        raise ValueError("n_list and s_grid must be nonempty")
     f2_vals = {float(s): tw_f2(float(s)) for s in s_grid}
     data = constants(alpha, tau, t)
     rows = []
@@ -176,7 +180,7 @@ def convergence_experiment(alpha, tau, t, n_list, s_grid, shift=-1):
             cdfs = scaled_cdf(params, data, [float(s) for s in s_grid], shift=shift)
         except ArithmeticError as exc:
             rows.extend({"n": int(n), "s": float(s), "error": str(exc)} for s in s_grid)
-            cdfs = []
+            cdfs, sup = [], math.nan
         for s, cdf in zip(s_grid, cdfs):
             f2 = f2_vals[float(s)]
             diff = abs(cdf - f2)

@@ -27,7 +27,8 @@ _BLOCK_ENTRIES = 1 << 18  # matrix entries drawn at once by `sample_lambda1`
 @dataclass(frozen=True)
 class MeasureParams:
     """Parameter tuple (m, n, alpha, t) of the specialized measure; m and n
-    are kept as ints and a rational alpha or t as a Fraction of ints."""
+    are kept as ints, and alpha and t as Fractions of ints: a rational
+    exactly, any other finite real at its binary value."""
 
     m: int
     n: int
@@ -46,7 +47,12 @@ class MeasureParams:
         for name in ("alpha", "t"):
             v = getattr(self, name)
             if isinstance(v, Rational):
-                object.__setattr__(self, name, Fraction(int(v.numerator), int(v.denominator)))
+                v = Fraction(int(v.numerator), int(v.denominator))
+            elif math.isfinite(v):
+                v = Fraction(float(v))
+            else:
+                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, v)
         if not (0 < self.alpha < 1):
             raise ValueError("alpha must lie in (0, 1)")
         if self.t > 0:
@@ -60,11 +66,6 @@ class MeasureParams:
     def rho(self):
         return self.alpha * self.alpha
 
-    @property
-    def exact(self):
-        """Whether alpha and t are rational, as the exact routes need."""
-        return isinstance(self.alpha, Rational) and isinstance(self.t, Rational)
-
 
 @dataclass(frozen=True)
 class EntryDistribution:
@@ -76,8 +77,8 @@ class EntryDistribution:
     def __post_init__(self):
         if not (0 <= self.rho < 1):
             raise ValueError("rho must lie in [0, 1)")
-        if self.t > 0:
-            raise ValueError("t must be nonpositive")
+        if not (-math.inf < self.t <= 0):  # false for NaN too
+            raise ValueError("t must be nonpositive and finite")
 
     @property
     def p0(self):
@@ -104,7 +105,7 @@ def partition_prob(lam, params):
     """P_t({lambda}) = S_lambda(alpha^m;t) s_lambda(alpha^n) / Z_t."""
     s = schur_s(lam, SpecializedVars(params.n, params.alpha))
     if s == 0:
-        return Fraction(0) if params.exact else 0.0
+        return Fraction(0)
     big = schur_S_t(lam, SpecializedVars(params.m, params.alpha), params.t)
     return big * s / z_norm(params)
 
@@ -284,7 +285,7 @@ def lambda1_cdf_exact(params, h, mode="auto"):
     numerically meaningful at sizes where the raw Toeplitz determinant
     drowns in cancellation.  Both routes run on the whole domain t <= 0.
     `mode` may force "exact" or "float"; "auto" takes the exact route for
-    exact parameters and h <= 6.
+    h <= 6.
 
     `h` may be an int or a sequence of ints; a sequence returns a list with
     the value of each h, its route chosen per h as for a single call.  All
@@ -295,10 +296,7 @@ def lambda1_cdf_exact(params, h, mode="auto"):
     single, hs = numerics._grid(h)
     if mode not in ("auto", "exact", "float"):
         raise ValueError(f"mode must be 'auto', 'exact' or 'float', not {mode!r}")
-    if mode == "exact" and not params.exact:
-        raise ValueError("the exact route (Toeplitz determinant over the rationals) "
-                         "needs rational alpha and t; pass Fractions")
-    exacts = [hh for hh in hs if mode == "exact" or (mode == "auto" and params.exact and hh <= 6)]
+    exacts = [hh for hh in hs if mode == "exact" or (mode == "auto" and hh <= 6)]
     floats = [hh for hh in hs if hh not in exacts]
     vals = dict(zip(floats, numerics.bo_cdf(params, floats))) if floats else {}
     if exacts:

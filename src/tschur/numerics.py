@@ -66,8 +66,8 @@ def _phi_terms(m, n, x, t, kmin, kmax):
 def symbol_phi(params, kmin, kmax, exact=True):
     """Coefficients of phi = E~_{x,t} E_y on the index window [kmin, kmax].
 
-    The sums run in the scalars of `params`: exact rationals for rational
-    parameters, on the whole domain t <= 0 (each phi_k is a finite sum).
+    The sums run in exact rationals, on the whole domain t <= 0 (each phi_k
+    is a finite sum).
     `exact=False`, the former double-precision route, is no longer offered.
     """
     if kmin > 0 or kmax < 0:
@@ -80,7 +80,7 @@ def symbol_phi(params, kmin, kmax, exact=True):
     # is alpha^l C(n, l), so alpha^k phi_k is a polynomial in alpha^2,
     # and dividing the scale by den(t) also keeps the powers of den(t)
     # in the denominators from growing with |k|
-    scale = Fraction(params.alpha) / Fraction(params.t).denominator
+    scale = params.alpha / params.t.denominator
     return SymbolCoefficients(kmin, kmax, coeffs, scale)
 
 
@@ -294,13 +294,12 @@ def hankel_symbols(params, kmin, kmax):
         psi2_k = (-alpha)^k sum_{r=1..m} g_{m-r} C(k+r-1, r-1),
 
     polynomials in k of degree n-1 and m-1 times (-alpha)^k.  Everything is
-    computed exactly from Fraction(alpha) and Fraction(t) (a float is taken
-    at its binary value), and each entry is rounded once.
+    computed exactly from the Fractions alpha and t, and each entry is
+    rounded once.
     """
     if kmin < 1 or kmax < kmin:
         raise ValueError("need 1 <= kmin <= kmax")
-    m, n = params.m, params.n
-    alpha, t = Fraction(params.alpha), Fraction(params.t)
+    m, n, alpha, t = params.m, params.n, params.alpha, params.t
     A, B = 1 - alpha * alpha, 1 - t * alpha * alpha
     # (w-A)(w-B) f' = m (A-B) f
     pq, _ = _integers([A * B, -(A + B), 1, m * (A - B)])

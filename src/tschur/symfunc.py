@@ -15,7 +15,6 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 
 from .partitions import partitions
 from .rsk import Entry, MarkedTableau, _col_step, _row_step, validate_marked_tableau
@@ -42,7 +41,7 @@ def gen_e_coeffs(variables, t, nmax):
     SpecializedVars, f = ((1+xz)/(1+txz))^m solves the first-order equation
     (1+xz)(1+txz) f' = m x (1-t) f, whose Taylor coefficients `_taylor_ode`
     gives in O(nmax) integer operations.  A float x or t is taken at its
-    binary value, and each e_l is rounded once to a double.
+    binary value, and every e_l is an exact Fraction.
     """
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
@@ -75,13 +74,12 @@ def _specialized_coeffs(variables, t, nmax, sign):
     At Dz, D = bd, the series solves P y' = Q y for the integers P = [1,
     sign (1+t) x D, t x^2 D^2] = [1, sign a (c+d), a^2 c d] and Q = [m x (1-t) D]
     = [m a (d-c)], so `_taylor_ode` gives Y_l = l! D^l e_l, and each e_l is
-    Y_l / (l! D^l) once: a Fraction, or for a float x or t a correctly rounded
-    float (int / int)."""
-    m, exact = variables.count, isinstance(variables.value, Rational) and isinstance(t, Rational)
+    the Fraction Y_l / (l! D^l); a float x or t is taken at its binary value."""
+    m = variables.count
     (a, b), (c, d) = (map(int, Fraction(v).as_integer_ratio()) for v in (variables.value, t))
     Y = _taylor_ode([1, sign * a * (c + d), c * a * a * d], [m * a * (d - c)], nmax + 1)
     scales = itertools.accumulate((l * b * d for l in range(1, nmax + 1)), operator.mul)
-    return TruncatedSeries([1, *map(Fraction if exact else operator.truediv, Y[1:], scales)], nmax)
+    return TruncatedSeries([1, *map(Fraction, Y[1:], scales)], nmax)
 
 
 def _jt_minor(shape, coeffs):

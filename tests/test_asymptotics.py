@@ -131,6 +131,18 @@ def test_parameter_validation():
         constants(0.5, 1.0, 0.5)
 
 
+def test_parameter_validation_rejects_nan_and_inf(monkeypatch):
+    # a NaN passed `tau <= 0` and `t > 0` and gave SaddleData(c=nan, ...)
+    for alpha, tau, t in ((math.nan, 1.0, 0.0), (0.5, math.nan, 0.0), (0.5, 1.0, math.nan),
+                          (0.5, math.inf, 0.0), (0.5, 1.0, -math.inf)):
+        with pytest.raises(ValueError, match="must"):
+            constants(alpha, tau, t)
+    # so does the positivity guard on the saddle data
+    monkeypatch.setattr(asymptotics, "saddle_point", lambda alpha, tau, t: math.nan)
+    with pytest.raises(ArithmeticError, match="positivity"):
+        constants(0.5, 1.0, 0.0)
+
+
 def test_tw_f2_known_values():
     # values pinned by quadrature self-convergence (refinement-stable to 1e-8)
     assert abs(tw_f2(0.0) - 0.9693728) < 1e-6
@@ -237,3 +249,24 @@ def test_convergence_experiment_beyond_bo_domain():
 def test_convergence_experiment_rejects_fractional_m():
     with pytest.raises(ValueError):
         convergence_experiment(0.5, 0.33, 0.0, [10], [0.0])
+
+
+def test_convergence_experiment_rejects_empty_grids():
+    for n_list, s_grid in (([10], []), ([], [0.0])):
+        with pytest.raises(ValueError, match="nonempty"):
+            convergence_experiment(0.5, 1.0, 0.0, n_list, s_grid)
+
+
+def test_convergence_experiment_reports_nan_for_a_failed_n(monkeypatch):
+    # a failed n measured nothing: its sup-distance used to read 0.0
+    cdf = asymptotics.scaled_cdf
+
+    def failing(params, data, s, shift=-1):
+        if params.n == 10:
+            raise ArithmeticError("no value")
+        return cdf(params, data, s, shift=shift)
+
+    monkeypatch.setattr(asymptotics, "scaled_cdf", failing)
+    rows, summary = convergence_experiment(0.5, 1.0, 0.0, [10, 30], [-2.0, 0.0])
+    assert [r.get("error") for r in rows if r["n"] == 10] == ["no value"] * 2
+    assert math.isnan(summary[0]["sup_distance"]) and np.isfinite(summary[1]["sup_distance"])

@@ -54,6 +54,7 @@ def test_rsk_reads_stdin_and_rejects_garbage():
     ("tw --s-grid=abc", "could not convert string to float"),
     ("converge --alpha 1/2 --tau 1/2 --n-list 3", "tau * n must be an integer"),
     ("converge --alpha 3/2 --n-list 10", "alpha must lie in (0, 1)"),
+    ("converge --alpha 1/2 --tau 1 --n-list 20 --s-grid=", "must be nonempty"),
 ])
 def test_bad_measure_input_is_a_usage_error(argv, message, capsys):
     from tschur.cli import main

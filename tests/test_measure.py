@@ -36,7 +36,7 @@ def test_params_validation():
     with pytest.raises(ValueError):
         MeasureParams(1, 1, F(1, 2), F(1, 2))
     p = MeasureParams(2, 4, F(1, 2), F(-1))
-    assert p.tau == 0.5 and p.rho == F(1, 4) and p.exact
+    assert p.tau == 0.5 and p.rho == F(1, 4) and type(p.alpha) is type(p.t) is F
 
 
 def test_params_read_numpy_integers_exactly():
@@ -51,10 +51,48 @@ def test_params_read_numpy_integers_exactly():
         assert (type(p.m), type(p.n), type(p.t.numerator)) == (int, int, int)
         assert z_norm(p) == z_norm(q)
         assert lambda1_cdf_exact(p, hs, mode="exact") == lambda1_cdf_exact(q, hs, mode="exact")
-    assert type(MeasureParams(2, 2, 0.4, -1.0).alpha) is float  # floats stay floats
+    p = MeasureParams(2, 2, 0.4, -1.0)  # floats at their binary values
+    assert (p.alpha, p.t) == (F(0.4), F(-1)) and type(p.alpha) is F
     for m in (2.5, "2", None):
         with pytest.raises(ValueError, match="positive integers"):
             MeasureParams(m, 2, F(1, 2), F(-1))
+
+
+def test_params_are_fractions_of_ints_for_every_real():
+    # ints, Fractions and NumPy integers exactly; floats at their binary values
+    for alpha, t, want in ((F(2, 5), np.int64(-3), (F(2, 5), F(-3))),
+                           (0.4, -0.3, (F(0.4), F(-0.3))),
+                           (np.float32(0.4), np.float64(-0.3), (F(float(np.float32(0.4))), F(-0.3))),
+                           (np.float64(0.4), 0, (F(0.4), F(0)))):
+        p = MeasureParams(2, 2, alpha, t)
+        assert (p.alpha, p.t) == want
+        for x in (p.alpha, p.t):
+            assert type(x) is F and type(x.numerator) is type(x.denominator) is int
+    assert MeasureParams(2, 2, np.float32(0.5), np.float64(-0.5)) == \
+        MeasureParams(2, 2, F(1, 2), F(-1, 2))
+    for bad in (math.nan, math.inf, -math.inf, np.float64("nan")):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            MeasureParams(2, 2, bad, F(-1, 2))
+        with pytest.raises(ValueError, match="t must be finite"):
+            MeasureParams(2, 2, F(1, 2), bad)
+
+
+def test_exact_route_takes_float_parameters_at_their_binary_values():
+    p, q = MeasureParams(5, 5, 0.4, -0.5), MeasureParams(5, 5, F(0.4), F(-0.5))
+    assert lambda1_cdf_exact(p, range(7), mode="exact") == \
+        lambda1_cdf_exact(q, range(7), mode="exact")
+    auto = lambda1_cdf_exact(p, range(9))
+    assert all(type(v) is F for v in auto[:7]) and all(type(v) is float for v in auto[7:])
+    assert type(partition_prob(Partition([3]), p)) is F and type(z_norm(p)) is F
+    assert partition_prob(Partition([1] * 6), p) == F(0)  # s_lambda vanishes on 5 variables
+
+
+def test_entry_law_rejects_nan_and_infinite_t():
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(ValueError, match="t must be nonpositive and finite"):
+            EntryDistribution(F(1, 4), bad)
+    with pytest.raises(ValueError, match="rho"):
+        EntryDistribution(math.nan, F(-1))
 
 
 def test_z_norm_value():

@@ -144,12 +144,15 @@ def test_toeplitz_h0():
 
 
 def test_exact_route_refuses_float_parameters():
-    # the exact route used to fall back to a float elimination of the
-    # Toeplitz matrix here, and returned 83.17 (0.000596 at alpha = 2/5)
-    with pytest.raises(ValueError, match="exact route"):
-        lambda1_cdf_exact(MeasureParams(25, 25, 0.4, -1.0), 24, mode="exact")
+    # a float symbol built by hand; `symbol_phi` itself is always rational
     with pytest.raises(ValueError, match="rational"):
-        numerics.toeplitz_det(numerics.symbol_phi(MeasureParams(3, 3, 0.4, -1.0), -3, 3), 4)
+        numerics.toeplitz_det(numerics.SymbolCoefficients(-3, 3, [0.1] * 7), 4)
+
+
+def test_gessel_check_reads_a_float_t_at_its_binary_value():
+    # the partition side used to run in rounded doubles, the Toeplitz side in
+    # the Fractions of the binary -0.3, so the check failed at h = 2
+    assert numerics.gessel_check(2, 2, -0.3, 3, 12) == (True, None)
 
 
 def test_gessel_identity_degreewise():
@@ -443,7 +446,7 @@ def test_float_route_beyond_bo_domain_equals_exact():
 
 def test_auto_route_beyond_bo_domain_matches_exact():
     # `auto` splits at h = 6 there as everywhere: exact below, float above;
-    # float parameters take the float route at every h
+    # float parameters too, taken at their binary values
     hs = range(13)
     exact = lambda1_cdf_exact(BEYOND_BO[0], hs, mode="exact")
     auto = lambda1_cdf_exact(BEYOND_BO[0], hs)

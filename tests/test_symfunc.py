@@ -78,11 +78,11 @@ def test_rational_recurrence_matches_fraction_steps(x, t, m, nmax):
         coeffs = gen(SpecializedVars(m, x), t, nmax).coeffs
         assert coeffs == _fraction_recurrence(m, F(x), F(t), nmax, sign)
         assert all(type(c) is F for c in coeffs[1:])
-        # floats: the binary values of x and t, each coefficient rounded once
+        # floats: the exact coefficients at the binary values of x and t
         xf, tf = float(x), float(t)
         coeffs = gen(SpecializedVars(m, xf), tf, nmax).coeffs
-        assert coeffs == [float(c) for c in _fraction_recurrence(m, F(xf), F(tf), nmax, sign)]
-        assert all(type(c) is float for c in coeffs[1:])
+        assert coeffs == _fraction_recurrence(m, F(xf), F(tf), nmax, sign)
+        assert all(type(c) is F for c in coeffs[1:])
 
 
 def test_gen_e_reads_numpy_integers_as_ints():
@@ -208,6 +208,11 @@ def test_cauchy_identity_small():
         for t in (F(0), F(-1), F(-1, 2)):
             ok, mismatch = cauchy_check(m, n, t, 6)
             assert ok, mismatch
+
+
+def test_cauchy_check_reads_a_float_t_at_its_binary_value():
+    # the two sides used to round differently: 64.8401 against 64.84009999999999
+    assert cauchy_check(2, 2, -0.3, 8) == (True, None)
 
 
 def test_cauchy_rhs_closed_form():
