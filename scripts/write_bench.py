@@ -1,5 +1,5 @@
-"""Write BENCH_<pr>.json: the benchmark's workloads, untraced and traced, and
-the Tier-1 wall time, with the git sha they ran at.
+"""Write BENCH_<pr>.json: the benchmark's workloads, untraced and traced, the
+Tier-1 wall time and the benchmark's own tests, with the git sha they ran at.
 
     python3 scripts/write_bench.py --pr 8
     python3 scripts/write_bench.py --pr 8 --baseline HEAD~2
@@ -16,7 +16,8 @@ seed, and which goes first alternates too, so that both meet the same
 machine.  Each side's metrics are summarised by their median and quartiles
 over the seeds, and `faster_pairs` counts the seeds at which this checkout
 was lower.  `src_lines` holds each side's `wc -l src/tschur/*.py` total,
-the line count that the ROADMAP's design aim reads.  Run it on a committed
+the line count that the ROADMAP's design aim reads, and `perfbench_tests` the
+summary line of `perfbench/test_perfbench.py` on each side.  Run it on a committed
 tree: the file records the sha and whether the work tree was clean."""
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ print(json.dumps({k: {f: v / len(rounds) for f, v in rec.items()} for k, rec in 
 """
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"]
+PERFBENCH_TESTS = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                   "perfbench/test_perfbench.py"]
 
 
 def _env(checkout):
@@ -170,6 +173,8 @@ def bench(args, sides):
                                 for side, checkout in sides.items()}
         doc["workloads"][workload] = entry
     doc["tier1"] = {side: timed(checkout, TIER1) for side, checkout in sides.items()}
+    doc["perfbench_tests"] = {side: timed(checkout, PERFBENCH_TESTS)
+                              for side, checkout in sides.items()}
     return doc
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import operator
+
 
 class Partition:
     """A weakly decreasing tuple of positive integers; () is the empty partition."""
@@ -9,7 +11,7 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(map(operator.index, parts))
         for i in range(len(parts) - 1):
             if parts[i] < parts[i + 1]:
                 raise ValueError(f"parts not weakly decreasing: {parts}")

@@ -28,6 +28,7 @@ class Entry(int):
     __slots__ = ()
 
     def __new__(cls, value, marked=False):
+        value = operator.index(value)
         if value < 1:
             raise ValueError("letter values start at 1")
         return int.__new__(cls, 2 * value - (1 if marked else 0))
@@ -141,7 +142,7 @@ class Biword:
         pairs = list(pairs)
         if not all(isinstance(low, Entry) for _, low in pairs):
             raise TypeError("lower line must consist of alphabet letters")
-        self.upper, self.lower = [int(u) for u, _ in pairs], [int(a) for _, a in pairs]
+        self.upper, self.lower = [operator.index(u) for u, _ in pairs], [int(a) for _, a in pairs]
 
     @classmethod
     def _of(cls, upper, lower):
@@ -214,23 +215,23 @@ class RecordingTableau(_Tableau):
 
 
 def _is_filling(rows, row_step, col_step):
-    """Row lengths weakly decrease, and every pair of neighbours obeys
-    `row_step` along a row and `col_step` down a column."""
-    return (all(len(up) >= len(low) for up, low in zip(rows, rows[1:]))
+    """Every entry is at least 1, row lengths weakly decrease, and every pair
+    of neighbours obeys `row_step` along a row and `col_step` down a column."""
+    return (all(v >= 1 for row in rows for v in row)
+            and all(len(up) >= len(low) for up, low in zip(rows, rows[1:]))
             and all(row_step(a, b) for row in rows for a, b in zip(row, row[1:]))
             and all(col_step(a, b) for up, low in zip(rows, rows[1:])
                     for a, b in zip(up, low)))
 
 
 def validate_marked_tableau(t):
-    """True iff the filling satisfies T1 (monotone rows/columns) and T2 (at
-    most one k' per row, at most one k per column)."""
+    """True iff the letters are at least 1' and obey T1 (monotone rows and
+    columns) and T2 (at most one k' per row, at most one k per column)."""
     return _is_filling(t.rows, _row_step, _col_step)
 
 
 def validate_recording_tableau(t):
-    return (all(v >= 1 for row in t.rows for v in row)
-            and _is_filling(t.rows, operator.le, operator.lt))
+    return _is_filling(t.rows, operator.le, operator.lt)
 
 
 def validate_biword(w):
@@ -261,7 +262,7 @@ def matrix_from_biword(w, m, n):
     entries = [[0] * n for _ in range(m)]
     for u, a in zip(w.upper, w.lower):
         j = (a + 1) >> 1
-        if not 0 < u <= m or j > n:
+        if not (0 < u <= m and 0 < j <= n):
             raise ValueError("biword letter outside the matrix dimensions")
         # a group is contiguous, its first letter alone marked: count up from it
         e = entries[u - 1][j - 1]

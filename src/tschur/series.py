@@ -1,8 +1,8 @@
 """Truncated power series and the exact determinants of the identity checks.
 
-A series holds the coefficients of X^0, ..., X^order in any field Python can
-compute with (Fraction for exact identity work, float elsewhere); everything
-above ``order`` is unknown.  The Cauchy and Gessel identities are checked
+A series holds the coefficients of X^0, ..., X^order in a field (the library
+builds every series exactly, in ints and Fractions); everything above
+``order`` is unknown.  The Cauchy and Gessel identities are checked
 degreewise on such series.  `det_gauss` takes determinants over a field;
 the Toeplitz determinants with series entries come from the Levinson
 recurrence of `numerics.toeplitz_det`.  `_taylor_ode`, the one Taylor

@@ -1,18 +1,21 @@
 """Generalized symmetric functions e_n(x;t), S_lambda(x;t) and s_lambda.
 
-Everything here is exact: scalars are Fractions (or anything supporting
-field arithmetic), determinants are evaluated by Gaussian elimination, and a
-brute-force marked-tableau enumeration serves as an independent oracle for
-the determinantal S_lambda.  The e- and h-coefficients of a specialization
-x_1 = ... = x_m = x come from `series._taylor_ode`, the one Taylor recurrence,
-for ((1+xz)/(1+txz))^m and ((1-txz)/(1-xz))^m in O(nmax) integer operations,
-and each Jacobi-Trudi determinant is taken in the smaller of its two forms.
+Everything here is exact: scalars are Fractions (a float at its binary
+value), determinants come from Gaussian elimination, and a brute-force
+marked-tableau enumeration is an independent oracle for the determinantal
+S_lambda.  The e- and h-coefficients of x_1 = ... = x_m = x come from
+`series._taylor_ode`, the one Taylor recurrence, for ((1+xz)/(1+txz))^m and
+((1-txz)/(1-xz))^m in O(nmax) integer operations; an explicit list is the
+product of one such specialization per distinct value.  Each Jacobi-Trudi
+determinant is taken in the smaller of its two forms.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,36 +40,32 @@ class SpecializedVars:
 def gen_e_coeffs(variables, t, nmax):
     """Coefficients e_0(x;t), ..., e_nmax(x;t) of E(z) = prod (1+x_i z)/(1+t x_i z).
 
-    `variables` is a SpecializedVars or an explicit list of scalars.  For a
-    SpecializedVars, f = ((1+xz)/(1+txz))^m solves the first-order equation
-    (1+xz)(1+txz) f' = m x (1-t) f, whose Taylor coefficients `_taylor_ode`
-    gives in O(nmax) integer operations.  A float x or t is taken at its
-    binary value, and every e_l is an exact Fraction.
-    """
-    if nmax < 0:
-        raise ValueError("nmax must be nonnegative")
-    if isinstance(variables, SpecializedVars):
-        return _specialized_coeffs(variables, t, nmax, 1)
-    result = TruncatedSeries([1], nmax)
-    for x in variables:
-        result = result * TruncatedSeries([1, x], nmax)
-        if t != 0:
-            result = result * TruncatedSeries([1, t * x], nmax).inverse()
-    return result
+    `variables` is a SpecializedVars or an explicit list of scalars, taken
+    as one SpecializedVars per distinct value.  At x_1 = ... = x_m = x,
+    f = ((1+xz)/(1+txz))^m solves (1+xz)(1+txz) f' = m x (1-t) f, whose
+    Taylor coefficients `_taylor_ode` gives exactly in O(nmax) integer
+    operations, a float x or t taken at its binary value."""
+    return _series(variables, t, nmax, 1)
 
 
 def gen_h_coeffs(variables, t, nmax):
     """Coefficients h_0(x;t), ..., h_nmax(x;t) of H(z) = 1/E(-z) =
     prod (1-t x_i z)/(1-x_i z), the entries of the h-form Jacobi-Trudi
-    determinant.  For a SpecializedVars, (1-xz)(1-txz) H' = m x (1-t) H is
-    `gen_e_coeffs`'s equation with the sign of the (1+t) x z term flipped.
+    determinant: (1-xz)(1-txz) H' = m x (1-t) H is `gen_e_coeffs`'s equation
+    with the sign of the (1+t) x z term flipped, and a list is read alike.
     """
+    return _series(variables, t, nmax, -1)
+
+
+def _series(variables, t, nmax, sign):
+    """E (sign 1) or H (sign -1) of a SpecializedVars or an explicit list."""
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
     if isinstance(variables, SpecializedVars):
-        return _specialized_coeffs(variables, t, nmax, -1)
-    e = gen_e_coeffs(variables, t, nmax)
-    return TruncatedSeries([(-1) ** k * c for k, c in enumerate(e.coeffs)], nmax).inverse()
+        return _specialized_coeffs(variables, t, nmax, sign)
+    return math.prod((_specialized_coeffs(SpecializedVars(count, x), t, nmax, sign)
+                      for x, count in Counter(variables).items()),
+                     start=TruncatedSeries([1], nmax))
 
 
 def _specialized_coeffs(variables, t, nmax, sign):
@@ -109,9 +108,8 @@ def schur_S_t(lam, variables, t):
     = det(h_{lambda_i-i+j}(x;t)).
 
     On m variables it vanishes outside the (m|m) hook, lambda_{m+1} > m
-    (at t = 0, outside the m rows, lambda_{m+1} > 0), and that zero is
-    returned as such: in floats the determinant would leave rounding noise of
-    either sign there."""
+    (at t = 0, outside the m rows, lambda_{m+1} > 0); that exact zero is
+    returned without computing a determinant."""
     count = variables.count if isinstance(variables, SpecializedVars) else len(variables)
     if len(lam) > count and lam[count] > (count if t != 0 else 0):
         return Fraction(0)

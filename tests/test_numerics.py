@@ -37,10 +37,12 @@ def test_symbol_window_validation():
         sym.coeff(3)
 
 
-def test_symbol_exact_vs_float():
-    # the same sums over float scalars: alpha = 0.4 is 2/5 to 2e-17
+def test_symbol_at_a_float_alpha_is_exact_at_its_binary_value():
+    # alpha = 0.4 is read as its binary value, 2/5 to 2e-17: both symbols are
+    # exact, and they agree to about that distance
     ex = numerics.symbol_phi(params(3, 3, F(2, 5), F(-1, 2)), -4, 4)
     fl = numerics.symbol_phi(MeasureParams(3, 3, 0.4, -0.5), -4, 4)
+    assert fl.coeffs == numerics.symbol_phi(params(3, 3, F(0.4), F(-1, 2)), -4, 4).coeffs
     for k in range(-4, 5):
         assert math.isclose(float(ex.coeff(k)), fl.coeff(k), rel_tol=1e-13, abs_tol=1e-15)
 

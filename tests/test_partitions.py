@@ -1,5 +1,6 @@
 """Partition container and enumeration."""
 
+import numpy as np
 import pytest
 
 from tschur.partitions import Partition, partitions, partitions_in_box
@@ -11,6 +12,15 @@ def test_validation():
     with pytest.raises(ValueError):
         Partition([2, 0])
     assert Partition([]).size() == 0
+
+
+def test_parts_must_be_integers():
+    # a float or a str used to be truncated: Partition([2.5, 1]) was (2, 1)
+    for parts in ([2.5, 1], ["3"], [3.0]):
+        with pytest.raises(TypeError):
+            Partition(parts)
+    lam = Partition([np.int64(3), np.int32(1)])
+    assert lam == Partition([3, 1]) and all(type(p) is int for p in lam)
 
 
 def test_basic_stats():

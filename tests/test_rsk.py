@@ -184,6 +184,21 @@ def test_matrix_from_biword_rejects_letters_outside_the_matrix(pairs):
     # an upper 0 must not wrap round to the last row
     with pytest.raises(ValueError, match="outside the matrix"):
         matrix_from_biword(Biword(pairs), 2, 2)
+    # nor a lower letter below 1' to the last column
+    for lower in ([0], [-1]):
+        with pytest.raises(ValueError, match="outside the matrix"):
+            matrix_from_biword(Biword._of([1], lower), 1, 3)
+
+
+def test_letters_and_uppers_must_be_integers():
+    # a float or a str used to be truncated: Entry(1.5) was the letter 2'
+    for value in (1.5, 2.0, "2"):
+        with pytest.raises(TypeError):
+            Entry(value)
+    with pytest.raises(TypeError):
+        Biword([(1.7, Entry(1))])
+    assert Entry(np.int64(2), True) == E("2'")
+    assert Biword([(np.int64(2), E("1"))]).upper == [2]
 
 
 def _all_matrices_2x2(max_abs):
@@ -370,6 +385,11 @@ def test_inverse_rsk_rejects_bad_pairs():
     with pytest.raises(InverseRSKError):
         inverse_rsk(MarkedTableau([[E("1'"), E("1'")]]), RecordingTableau([[1, 1]]), 3, 3)
     assert not validate_recording_tableau(u_bad)
+    # letters below 1' (chain ints 0 and -1) used to come out as 0 and 0'
+    for letter in (0, -1):
+        assert not validate_marked_tableau(MarkedTableau([[letter]]))
+        with pytest.raises(InverseRSKError):
+            inverse_rsk(MarkedTableau([[letter]]), RecordingTableau([[1]]), 1, 2)
 
 
 def test_empty_matrix():

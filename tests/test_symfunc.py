@@ -42,19 +42,41 @@ def test_gen_e_t_zero_is_elementary():
     assert [e.coeff(k) for k in range(5)] == [1, F(3, 2), F(3, 4), F(1, 8), 0]
 
 
+def _product_reference(variables, t, nmax, sign):
+    """E (sign 1) or H (sign -1) by series products and inverses: E is the
+    product of the factors (1 + x z) / (1 + t x z), and H = 1/E(-z)."""
+    e = TruncatedSeries([1], nmax)
+    for x in variables:
+        e = e * TruncatedSeries([1, x], nmax) * TruncatedSeries([1, t * x], nmax).inverse()
+    if sign == 1:
+        return e
+    return TruncatedSeries([(-1) ** k * c for k, c in enumerate(e.coeffs)], nmax).inverse()
+
+
 def test_gen_e_list_matches_specialized():
-    # the explicit-list product against the first-order recurrence
+    # explicit lists, with repeated and distinct values, against the
+    # independent product-and-inverse reference
     for t in (F(0), F(-1, 2), F(-1), F(-3, 2)):
-        for a in (F(1, 3), F(-5, 7)):
-            for count in range(7):
-                by_list = gen_e_coeffs([a] * count, t, 20)
-                for nmax in range(21):
-                    by_spec = gen_e_coeffs(SpecializedVars(count, a), t, nmax)
-                    assert by_spec.order == nmax
-                    assert by_spec.coeffs == by_list.coeffs[: nmax + 1]
-        by_list = gen_e_coeffs([0.37] * 5, float(t), 20)
-        by_spec = gen_e_coeffs(SpecializedVars(5, 0.37), float(t), 20)
-        assert by_spec.coeffs == pytest.approx([by_list.coeff(k) for k in range(21)], rel=1e-12)
+        for xs in ([F(1, 3)] * 6, [F(-5, 7)] * 3 + [F(1, 3)] * 2,
+                   [F(1, 3), F(-5, 7), F(2, 5), 0], []):
+            for gen, sign in ((gen_e_coeffs, 1), (gen_h_coeffs, -1)):
+                by_list = gen(xs, t, 20)
+                assert by_list.order == 20
+                assert by_list.coeffs == _product_reference(xs, t, 20, sign).coeffs, (xs, t)
+        # floats are read at their binary values, and the result is exact
+        for gen, sign in ((gen_e_coeffs, 1), (gen_h_coeffs, -1)):
+            by_list = gen([0.37] * 5 + [-0.25], float(t), 20)
+            assert by_list.coeffs == _product_reference([F(0.37)] * 5 + [F(-0.25)], t, 20, sign).coeffs
+
+
+def test_float_lists_give_exact_coefficients():
+    # the e- and h-series of a float list are the exact series at the binary
+    # values, with no float left in them
+    exact = [F(0.37), F(0.37), F(-0.25)]
+    for gen in (gen_e_coeffs, gen_h_coeffs):
+        coeffs = gen([0.37, 0.37, -0.25], -0.5, 12).coeffs
+        assert all(type(c) in (int, F) for c in coeffs)
+        assert coeffs == gen(exact, F(-0.5), 12).coeffs
 
 
 def _fraction_recurrence(m, x, t, nmax, sign):
@@ -126,23 +148,17 @@ def test_jacobi_trudi_h_form_equals_dual_e_form():
                 assert _jt_minor(lam.parts, h) == _jt_minor(lam.conjugate().parts, e), (m, t, lam)
 
 
-def test_schur_vanishes_beyond_its_variables_in_floats():
-    # more rows than variables: an exact zero, not the h-form's rounding noise
-    for lam in (Partition([4, 3, 3]), Partition([5, 3, 3, 1])):
-        assert schur_s(lam, SpecializedVars(2, 0.5)) == 0
-        assert schur_S_t(lam, SpecializedVars(2, 0.5), 0.0) == 0
-
-
-def test_schur_S_t_vanishes_outside_the_hook_in_floats():
-    # at t != 0, S_lambda on m variables is zero exactly when lambda_{m+1} > m;
-    # floats must give that zero too, not rounding noise of either sign
-    for lam in (p for size in range(1, 9) for p in partitions(size)):
-        for m in (1, 2, 3):
-            for t in (F(-1, 2), F(-1), F(-3, 2)):
-                exact = schur_S_t(lam, SpecializedVars(m, F(37, 100)), t)
-                assert (exact == 0) == (len(lam) > m and lam[m] > m), (lam, m, t)
-                if exact == 0:
-                    assert schur_S_t(lam, SpecializedVars(m, 0.37), float(t)) == 0, (lam, m, t)
+def test_schur_S_t_of_a_float_list_is_exact():
+    # a float list gives the exact S_lambda at its binary values, and on m
+    # variables S_lambda is an exact zero when lambda_{m+1} > m (at t = 0,
+    # when lambda_{m+1} > 0), not rounding noise of either sign
+    for lam in partitions(8):
+        for m in range(4):
+            for t in (0.0, -0.5, -1.0, -1.5):
+                exact = schur_S_t(lam, [F(0.37)] * m, F(t))
+                assert schur_S_t(lam, [0.37] * m, t) == exact, (lam, m, t)
+                assert (exact == 0) == (len(lam) > m and lam[m] > (m if t else 0)), (lam, m, t)
+                assert type(exact) in (int, F)
 
 
 def test_schur_s_known_values():
