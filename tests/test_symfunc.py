@@ -66,7 +66,8 @@ def test_gen_e_list_matches_specialized():
         # floats are read at their binary values, and the result is exact
         for gen, sign in ((gen_e_coeffs, 1), (gen_h_coeffs, -1)):
             by_list = gen([0.37] * 5 + [-0.25], float(t), 20)
-            assert by_list.coeffs == _product_reference([F(0.37)] * 5 + [F(-0.25)], t, 20, sign).coeffs
+            reference = _product_reference([F(0.37)] * 5 + [F(-0.25)], t, 20, sign)
+            assert by_list.coeffs == reference.coeffs
 
 
 def test_float_lists_give_exact_coefficients():
