@@ -149,6 +149,28 @@ def test_jacobi_trudi_h_form_equals_dual_e_form():
                 assert _jt_minor(lam.parts, h) == _jt_minor(lam.conjugate().parts, e), (m, t, lam)
 
 
+def test_schur_vanishes_beyond_its_variables_in_floats():
+    # more rows than variables: an exact zero, not the h-form's rounding noise
+    for lam in (Partition([4, 3, 3]), Partition([5, 3, 3, 1])):
+        assert schur_s(lam, SpecializedVars(2, 0.5)) == 0
+        assert schur_S_t(lam, SpecializedVars(2, 0.5), 0.0) == 0
+        assert schur_s(lam, [0.5, 0.5]) == 0
+        assert schur_S_t(lam, [0.5, 0.5], 0.0) == 0
+
+
+def test_schur_S_t_vanishes_outside_the_hook_in_floats():
+    # at t != 0, S_lambda on m variables is zero exactly when lambda_{m+1} > m;
+    # floats must give that zero too, not rounding noise of either sign
+    for lam in (p for size in range(1, 9) for p in partitions(size)):
+        for m in (1, 2, 3):
+            for t in (F(-1, 2), F(-1), F(-3, 2)):
+                exact = schur_S_t(lam, SpecializedVars(m, F(37, 100)), t)
+                assert (exact == 0) == (len(lam) > m and lam[m] > m), (lam, m, t)
+                if exact == 0:
+                    assert schur_S_t(lam, SpecializedVars(m, 0.37), float(t)) == 0, (lam, m, t)
+                    assert schur_S_t(lam, [0.37] * m, float(t)) == 0, (lam, m, t)
+
+
 def test_schur_S_t_of_a_float_list_is_exact():
     # a float list gives the exact S_lambda at its binary values, and on m
     # variables S_lambda is an exact zero when lambda_{m+1} > m (at t = 0,
