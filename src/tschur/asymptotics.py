@@ -136,8 +136,9 @@ def t0_closed_forms(alpha, tau):
 
 def scaled_cdf(params, data, s, shift=-1):
     """P(lambda_1 <= h + shift) at h = ceil(c n + g^{-1} n^{1/3} s), by the
-    float route of `lambda1_cdf_exact` (the Borodin-Okounkov determinant,
-    with correctly rounded Hankel entries built in integer arithmetic).
+    float route of `lambda1_cdf_exact` (the Borodin-Okounkov determinant as
+    one min(m, n) x min(m, n) determinant, its Newton differences built in
+    integer arithmetic and each rounded once).
 
     `s` may be a number (returns a float) or a sequence (returns a list with
     one float per s, all from one `lambda1_cdf_exact` call).  The default
@@ -157,8 +158,8 @@ def convergence_experiment(alpha, tau, t, n_list, s_grid, shift=-1):
     """Sup-distance between the scaled lambda_1 law and F2 for each n.
 
     The CDF values come from the float route of `lambda1_cdf_exact`, one
-    `scaled_cdf` call per n over the whole s-grid, so the Hankel
-    coefficients are built once per n.  Returns (rows, summary): rows are
+    `scaled_cdf` call per n over the whole s-grid, so the integer Newton
+    differences are built once per n.  Returns (rows, summary): rows are
     dicts with n, s, empirical_cdf, f2 and abs_diff (or n, s and error if
     the call for that n raised ArithmeticError); summary pairs each n with
     its sup-distance over the grid, NaN for an n whose call raised.  An

@@ -12,14 +12,13 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 
 import numpy as np
 
 from . import numerics
 from .partitions import partitions_in_box  # noqa: F401 (looked up by perfbench's tests)
 from .rsk import Entry, PMatrix
-from .symfunc import SpecializedVars, schur_S_t, schur_s, weights_by_size
+from .symfunc import SpecializedVars, exact_scalar, schur_S_t, schur_s, weights_by_size
 
 _BLOCK_ENTRIES = 1 << 18  # matrix entries drawn at once by `sample_lambda1`
 
@@ -45,14 +44,7 @@ class MeasureParams:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
         for name in ("alpha", "t"):
-            v = getattr(self, name)
-            if isinstance(v, Rational):
-                v = Fraction(int(v.numerator), int(v.denominator))
-            elif math.isfinite(v):
-                v = Fraction(float(v))
-            else:
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, exact_scalar(getattr(self, name), name))
         if not (0 < self.alpha < 1):
             raise ValueError("alpha must lie in (0, 1)")
         if self.t > 0:
@@ -279,19 +271,14 @@ def sample_lambda1(params, samples, seed):
 def lambda1_cdf_exact(params, h, mode="auto"):
     """P(lambda_1 <= h), exactly in rationals or in floating point.
 
-    The exact route evaluates the Toeplitz determinant det T_h(phi)/Z_t over
-    the rationals; the float route evaluates the same quantity as the
-    finite-section Fredholm determinant of the Hankel product, which stays
-    numerically meaningful at sizes where the raw Toeplitz determinant
-    drowns in cancellation.  Both routes run on the whole domain t <= 0.
-    `mode` may force "exact" or "float"; "auto" takes the exact route for
-    h <= 6.
-
-    `h` may be an int or a sequence of ints; a sequence returns a list with
-    the value of each h, its route chosen per h as for a single call.  All
-    float-routed h share one `bo_cdf` call, and all exact-routed h one
-    `toeplitz_det` pass, whose leading minors are the determinants of the
-    smaller h.
+    The exact route is the Toeplitz determinant det T_h(phi)/Z_t over the
+    rationals; the float route (`numerics.bo_cdf`) is the Borodin-Okounkov
+    determinant, exactly reduced to min(m, n) x min(m, n), which stays
+    meaningful where the float Toeplitz determinant drowns in cancellation.
+    Both run on all t <= 0.  `mode` may force "exact" or "float"; "auto"
+    takes the exact route for h <= 6.  `h` may be an int or a sequence (a
+    list returns, each route chosen per h): the float-routed h share one
+    `bo_cdf` call, the exact-routed h one `toeplitz_det` pass.
     """
     single, hs = numerics._grid(h)
     if mode not in ("auto", "exact", "float"):

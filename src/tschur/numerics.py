@@ -1,18 +1,14 @@
 """Symbol coefficients, Toeplitz determinants, and the Borodin-Okounkov route.
 
 The symbol is phi(z) = E~_{x,t}(z) E_y(z) specialized at x = alpha^m,
-y = alpha^n; its Fourier coefficients reduce to the finite sum
-phi_k = sum_j e_j(x;t) e_{j+k}(y), because e_l(y) vanishes beyond l = n.
-det T_h(phi)/Z_t is the lambda_1 CDF (Gessel identity); the same quantity is
-recovered as a finite-section Fredholm determinant of a Hankel product
-(Borodin-Okounkov), which serves as an independent cross-check.  One
-fraction-free Levinson recurrence, O(h^2) ring operations, computes det T_h
-over the rationals and over alpha-series (for the degreewise Gessel check),
-each cleared to integer coefficients; a grid of h shares one pass: its
-leading minors, each below the largest h - 1 a divisor that must not vanish.
-The Hankel entries psi_k are (-alpha)^k times a polynomial in k of degree
-n-1 or m-1 with rational coefficients; they are built in integer arithmetic
-(by `series._taylor_ode`) and each is rounded once.
+y = alpha^n; phi_k = sum_j e_j(x;t) e_{j+k}(y) is a finite sum, and
+det T_h(phi)/Z_t is the lambda_1 CDF (Gessel identity).  One fraction-free
+Levinson recurrence, O(h^2) ring operations, computes det T_h over the
+rationals and over alpha-series, cleared to integer coefficients; a grid of
+h shares one pass (its leading minors, each below the largest h - 1 a
+divisor that must not vanish).  The float route evaluates the same CDF as
+the Borodin-Okounkov determinant det(I - H1 H2), exactly reduced to a
+min(m, n) x min(m, n) determinant in the Meixner basis: no section.
 """
 
 from __future__ import annotations
@@ -217,33 +213,48 @@ def gessel_check(m, n, t, h, degree):
     return True, None
 
 
-def _hankel_entries(P, Q, y0, deg, alpha, kmin, kmax):
-    """(-alpha)^k sum_{s<=deg} y_s C(k+deg-s, deg-s) for kmin <= k <= kmax,
-    each correctly rounded to a double, where y solves P y' = Q y, y(0) = y0
-    (alpha and y0 Fractions).
-
-    With Y from `_taylor_ode`, the sum is y0 T_0(k) / (P_0^deg deg!), where
-    T_j(k) = sum_{r>=j} c_r C(k+r-j, r-j) with the integers
-    c_r = Y_{deg-r} P_0^r deg!/(deg-r)!.  T_j(-1) = c_j, and Pascal's rule
-    gives T_j(k) = T_j(k-1) + T_{j+1}(k), so every T_0(k) follows from
-    k = -1 by additions alone.
-    """
-    Y = _taylor_ode(P, Q, deg + 1)
-    sums, lead = [], 1  # lead = P_0^r deg!/(deg-r)!
-    for r in range(deg + 1):
-        sums.insert(0, Y[deg - r] * lead)  # T_deg first, T_0 last
-        lead *= P[0] * (deg - r)
+def _differences(P, Q, y0, deg, alpha, hs):
+    """Rows g_s = alpha^(h+1) q^s Δ^s p(h+1), s <= deg, q = alpha/(1-alpha^2),
+    for the sorted, distinct `hs`; p(k) = sum_s y_s C(k+deg-s, deg-s) with
+    P y' = Q y, y(0) = y0.  With Y from `_taylor_ode`, p = y0 T_0 / (P_0^deg
+    deg!), T_j(k) = sum_{r>=j} c_r C(k+r-j, r-j), c_r = Y_{deg-r} P_0^r
+    deg!/(deg-r)!, and D_s(h) = Δ^s T_0(h+1) = T_s(h+1+s): Pascal's rule from
+    T_j(-1) = c_j gives D_s(-2) = T_s(s-1), then D_s(h+1) = D_s(h) + D_{s+1}(h),
+    integer additions only.  g_s is w = 2^e alpha^(h+1) in [1/2, 2) times
+    D_s q^s y0 / (P_0^deg deg! 2^e) rounded once: all within double range."""
+    leads = itertools.accumulate([1] + [P[0] * (deg - r) for r in range(deg)], operator.mul)
+    tail = list(map(operator.mul, _taylor_ode(P, Q, deg + 1), reversed(list(leads))))
+    diffs = []
+    while tail:  # tail = T_deg .. T_s at k = s - 1
+        diffs.append(tail.pop())
+        tail = list(itertools.accumulate(tail))
     scale = y0 / (P[0] ** deg * math.factorial(deg))
-    num = scale.numerator * (-alpha.numerator) ** kmin
-    den = scale.denominator * alpha.denominator ** kmin
-    out = []
-    for k in range(kmax + 1):
-        sums = list(itertools.accumulate(sums))
-        if k >= kmin:
-            out.append(_rounded(num, sums[-1], den))
-            num *= -alpha.numerator
-            den *= alpha.denominator
-    return np.array(out)
+    q = alpha / (1 - alpha * alpha)
+    nums = list(itertools.accumulate([scale.numerator] + [q.numerator] * deg, operator.mul))
+    dens = list(itertools.accumulate([scale.denominator] + [q.denominator] * deg, operator.mul))
+    rows, at = [], -2
+    for h in hs:
+        for _ in range(h - at):
+            diffs = [*map(operator.add, diffs, diffs[1:]), diffs[-1]]
+        at = h
+        an, ad = alpha.numerator ** (h + 1), alpha.denominator ** (h + 1)
+        e = ad.bit_length() - an.bit_length()
+        w = (an << e) / ad
+        rows.append([w * _rounded(d, a, b << e) for d, a, b in zip(diffs, nums, dens)])
+    return np.array(rows).reshape(len(hs), deg + 1)
+
+
+def _transform(alpha, deg, size):
+    """The (deg+1) x size matrix R[s, j] = (-1)^j C(s+1, j+1) alpha^(s-j) / (1 - alpha^2),
+    zero for s < j, in doubles: f = g R.  Its binomials come by Pascal's rule
+    in integers, each rounded once, as is each alpha^p."""
+    binoms, row = np.zeros((deg + 1, size)), [1]
+    for s in range(deg + 1):
+        row = [1, *map(operator.add, row, row[1:]), 1]  # C(s+1, .)
+        binoms[s, :s + 1] = row[1:size + 1]
+    powers = np.array([float(alpha ** p) for p in range(deg + 1)])
+    s, j = np.arange(deg + 1)[:, None], np.arange(size)[None, :]
+    return binoms * powers[np.maximum(s - j, 0)] * ((-1.0) ** j / float(1 - alpha * alpha))
 
 
 def _rounded(a, b, d):
@@ -255,8 +266,9 @@ def _rounded(a, b, d):
     quotient; otherwise, as at a tie, the full product is divided.  The
     2048-bit threshold is the measured crossover (CPython 3.11, Xeon): the
     bounds cost about 2.5-3.9 us at any size, the full product 0.8 us at
-    512 bits, 2.5 us at 2048 and 10.6 us at 4096.  On converge's windows
-    they make the build 1.5-3 times faster than `a * b / d` alone.
+    512 bits, 2.5 us at 2048 and 10.6 us at 4096.  On converge's grid at
+    the binary alpha = 0.4, n = 50, they make `bo_cdf` 2.5 times faster
+    than `a * b / d` alone.
     """
     if a.bit_length() + b.bit_length() < 2048 or not (a and b):
         return a * b / d
@@ -281,80 +293,67 @@ def _integers(coeffs):
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
-def hankel_symbols(params, kmin, kmax):
-    """psi1_k and psi2_k for kmin <= k <= kmax, correctly rounded doubles.
-
-    psi1 = E~_{x,t} E_y^{-1} and psi2 = E_{x,t}^{-1} E~_y.  With
-    w = 1 + alpha z, A = 1 - alpha^2 and B = 1 - t alpha^2,
-    psi1 = f(w) w^{-n} with f = ((w-A)/(w-B))^m and psi2 = g(w) w^{-m} with
-    g = ((1-t)+tw)^m ((w-A)/(w-1))^n; the other poles of psi1 and psi2 add
-    only nonpositive powers of z, so for k >= 1
-
-        psi1_k = (-alpha)^k sum_{r=1..n} f_{n-r} C(k+r-1, r-1)
-        psi2_k = (-alpha)^k sum_{r=1..m} g_{m-r} C(k+r-1, r-1),
-
-    polynomials in k of degree n-1 and m-1 times (-alpha)^k.  Everything is
-    computed exactly from the Fractions alpha and t, and each entry is
-    rounded once.
-    """
-    if kmin < 1 or kmax < kmin:
-        raise ValueError("need 1 <= kmin <= kmax")
+def _factors(params):
+    """(P, Q, y0, degree) of p1 and p2 (`hankel_symbols`): y = f or g solves
+    P(w) y' = Q(w) y, P and Q integer lists, y(0) = y0."""
     m, n, alpha, t = params.m, params.n, params.alpha, params.t
     A, B = 1 - alpha * alpha, 1 - t * alpha * alpha
     # (w-A)(w-B) f' = m (A-B) f
     pq, _ = _integers([A * B, -(A + B), 1, m * (A - B)])
-    psi1 = _hankel_entries(pq[:3], pq[3:], (A / B) ** m, n - 1, alpha, kmin, kmax)
+    p1 = (pq[:3], pq[3:], (A / B) ** m, n - 1)
     # ((1-t)+tw)(w-A)(w-1) g' = (m t (w-A)(w-1) + n (A-1) ((1-t)+tw)) g
     c0, r0, r1 = 1 - t, A, -(A + 1)
     pq, _ = _integers([c0 * r0, c0 * r1 + t * r0, c0 + t * r1, t,
                        m * t * r0 + n * (A - 1) * c0, m * t * r1 + n * (A - 1) * t, m * t])
-    psi2 = _hankel_entries(pq[:4], pq[4:], (1 - t) ** m * A ** n, m - 1, alpha, kmin, kmax)
-    return psi1, psi2
+    return p1, (pq[:4], pq[4:], (1 - t) ** m * A ** n, m - 1)
+
+
+def hankel_symbols(params, h):
+    """The rows f1, f2 of `bo_cdf`'s determinant at h: for j < 2 min(m, n) - 1,
+    f_j = alpha^(h+1-j) mu_j / (1-x), mu_j = (-1)^j sum_{s>=j} C(s+1, j+1) y^s d_s,
+    d_s = Δ^s p(h+1), x = alpha^2, y = x/(1-x); p = p1 (degree n-1) for f1
+    and p2 (degree m-1) for f2.  psi1 = E~_{x,t} E_y^{-1} and psi2 =
+    E_{x,t}^{-1} E~_y have entries psi_k = (-alpha)^k p(k), k >= 1: with
+    w = 1 + alpha z, A = 1 - alpha^2, B = 1 - t alpha^2, psi1 = f(w) w^-n,
+    f = ((w-A)/(w-B))^m, and psi2 = g(w) w^-m, g = ((1-t)+tw)^m ((w-A)/(w-1))^n,
+    so p1(k) = sum_{r=1..n} f_{n-r} C(k+r-1, r-1), p2 alike.  The d_s are
+    exact, each rounded once (`_differences`); the transform does not depend
+    on h.  `h` is an int (two rows) or a sequence (a row per h, each
+    independent of the rest of the grid)."""
+    single, hs = _grid(h)
+    m, n, alpha = params.m, params.n, params.alpha
+    grid, size = sorted(set(hs)), 2 * min(m, n) - 1
+    g1, g2 = (_differences(*factor, alpha, grid) for factor in _factors(params))
+    R = _transform(alpha, max(m, n) - 1, size)
+    at = {hh: i for i, hh in enumerate(grid)}
+    f1, f2 = (np.array([row @ R[:d] for row in g]).reshape(len(grid), size)[[at[hh] for hh in hs]]
+              for g, d in ((g1, n), (g2, m)))
+    return (f1[0], f2[0]) if single else (f1, f2)
 
 
 def bo_cdf(params, h):
-    """P(lambda_1 <= h) by the finite-section Fredholm determinant
-    det(I - H1 H2) restricted to indices h..N-1, N = h + `default_section`.
-
-    `h` may be an int (returns a float) or a sequence of ints (returns a
-    list with one float per h).  The Hankel entries come from one
-    `hankel_symbols` build over [min h + 1, max 2N - 1]; every section is a
-    slice of it, and the entries do not depend on the window, so the values
-    match single calls bit for bit.  The sign-diagonal conjugation by J
-    leaves the determinant unchanged, so it is not applied explicitly.  A
-    determinant outside [0, 1] by more than _CDF_TOL raises ArithmeticError;
-    inside, the value is returned as computed, not clamped.
+    """P(lambda_1 <= h) = det(I - H1 H2) on l^2({h, h+1, ...}) (Borodin-Okounkov),
+    exactly as det(I_k - F1 F2), k = min(m, n), F[a, b] = f_{a+b} from
+    `hankel_symbols`: no section, no truncation.  Newton's expansion at h+1
+    and Vandermonde's identity give H1[h+a, l] = (-alpha)^(h+1) (U C1 U^T)[a, l],
+    U[a, i] = (-alpha)^a C(a, i), C1[a, b] = d_{a+b} (zero beyond n x n), and
+    H2 alike, so det(I - H1 H2) = det(I - x^(h+1) C1 G C2 G), G = U^T U.  The
+    Meixner polynomials (beta = 1) give B G B^T = diag(x^-a / (1-x)) for
+    B[a, j] = C(a, j) (1 - 1/x)^j, and B^-T C1 B^-1 = (mu_{a+b}) since
+    sum_{i+j=s} C(i, a) C(j, b) = C(s+1, a+b+1).  `h` is an int (a float
+    returns) or a sequence (a list); one `hankel_symbols` build serves the
+    grid, each value equal to a single call's bit for bit.  A value outside
+    [0, 1] by more than _CDF_TOL raises ArithmeticError, not clamped.
     """
     single, hs = _grid(h)
-    if not hs:
-        return []
-    section = default_section(params)
-    base = min(hs) + 1
-    psi1, psi2 = hankel_symbols(params, base, 2 * (max(hs) + section) - 1)
+    f1, f2 = hankel_symbols(params, hs)
+    k = min(params.m, params.n)
+    hankel = np.add.outer(np.arange(k), np.arange(k))
     vals = []
-    for hh in hs:
-        end = hh + section
-        rows = np.arange(hh, end)
-        inner = np.arange(end)
-        hank1 = psi1[rows[:, None] + inner[None, :] + 1 - base]
-        hank2 = psi2[inner[:, None] + rows[None, :] + 1 - base]
-        block = hank1 @ hank2
-        val = float(np.linalg.det(np.eye(section) - block))
+    for hh, r1, r2 in zip(hs, f1, f2):
+        val = float(np.linalg.det(np.eye(k) - r1[hankel] @ r2[hankel]))
         if not -_CDF_TOL <= val <= 1.0 + _CDF_TOL:
-            raise ArithmeticError(f"bo_cdf at h={hh}, N={end}: {val!r} lies outside [0, 1] "
+            raise ArithmeticError(f"bo_cdf at h={hh}: {val!r} lies outside [0, 1] "
                                   f"by more than {_CDF_TOL}")
         vals.append(val)
     return vals[0] if single else vals
-
-
-def default_section(params):
-    """Tail size max(60, ceil(10 / log(1/a)), ceil(16 max(m,n)^(1/3))), with
-    a = alpha: the decay rate of the Hankel entries (-alpha)^k P(k) on all
-    t <= 0, then the Airy window of width ~ n^(1/3) that the section must
-    clear before that decay sets in.  It carries no certified bound:
-    a^(10/log(1/a)) = e^-10 for one neglected entry, before a factor
-    polynomial in k of degree n - 1.
-    """
-    a = float(params.alpha)
-    tail = max(60, math.ceil(10 / math.log(1 / a)))
-    return int(max(tail, math.ceil(16 * max(params.m, params.n) ** (1.0 / 3.0))))

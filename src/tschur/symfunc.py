@@ -18,15 +18,26 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational, Real
 
 from .partitions import partitions
 from .rsk import Entry, MarkedTableau, _col_step, _row_step, validate_marked_tableau
 from .series import TruncatedSeries, _taylor_ode, det_gauss, first_mismatch
 
 
+def exact_scalar(v, name):
+    """v as a Fraction of ints: a rational exactly, another finite real at its
+    binary value; NaN, an infinity or a non-real (a str too) raises ValueError."""
+    if isinstance(v, Rational):
+        return Fraction(int(v.numerator), int(v.denominator))
+    if isinstance(v, Real) and math.isfinite(v):
+        return Fraction(float(v))
+    raise ValueError(f"{name} must be finite and real, not {v!r}")
+
+
 @dataclass(frozen=True)
 class SpecializedVars:
-    """x_1 = ... = x_count = value, all later variables zero."""
+    """x_1 = ... = x_count = value (read by `exact_scalar`), later ones zero."""
 
     count: int
     value: object
@@ -35,6 +46,7 @@ class SpecializedVars:
         object.__setattr__(self, "count", operator.index(self.count))
         if self.count < 0:
             raise ValueError("variable count must be nonnegative")
+        object.__setattr__(self, "value", exact_scalar(self.value, "value"))
 
 
 def gen_e_coeffs(variables, t, nmax):

@@ -102,6 +102,15 @@ def test_dist_exact_route_beyond_bo_domain(capsys):
     assert exact[30][1] < 1e-16 and exact[70][1] > 0.99  # the whole law
 
 
+def test_dist_alpha_near_one(capsys):
+    """alpha = 9999/10000: the float rows (h = 7) match the exact route
+    within 1e-10; the determinant has no size that grows with 1/(1-alpha)."""
+    args = "dist --m 2 --n 2 --alpha 9999/10000 --h-max 7 --mode {}"
+    exact, auto = (_dist_rows(capsys, args.format(mode)) for mode in ("exact", "auto"))
+    assert [row[0] for row in auto] == list(range(8))
+    assert all(abs(x[1] - y[1]) < 1e-10 for x, y in zip(exact, auto))
+
+
 def test_dist_csv_and_metadata():
     res = run_cli(
         "dist", "--m", "2", "--n", "2", "--alpha", "1/2", "--t=-1", "--h-max", "3"
@@ -161,7 +170,7 @@ DIST_SHA256 = {
     "--m 10 --n 10 --alpha 4/5 --t=-1 --h-max 40 --mode exact":
         "8ee6e8121a76213854d22b7316f3952e0da10caa570c5bdb334800b1bd769501",
     "--m 5 --n 5 --alpha 2/5 --t=-1/2 --h-max 12":
-        "bb978e04b6f40dbf4eb37a3491a8dad4c71f3277157d739c4a3f5b11c1c0f7b8",
+        "af30f8e3be219303371f434013d9afcdee38e82986d75c12f35dcb2246da7fa4",
 }
 
 
@@ -176,9 +185,9 @@ def test_dist_output_bytes_pinned():
 # criterion 9, on the benchmark's s-grid and at its largest n of each
 CONVERGE_SHA256 = {
     "--alpha 0.5 --t 0 --n-list 64 --s-grid=-4,-3,-2,-1,0,1,2,3":
-        "e80fb9cd0540512028531882d4d01d31550b80680077ed2165e07c406bf51631",
+        "3e540ee780e31cd31c257b4a77827a1488277d41f9699594a92bc2d4be1222dd",
     "--alpha 0.4 --t=-1 --n-list 50 --s-grid=-4,-3,-2,-1,0,1,2,3":
-        "4a8c1829f5410a919adca88eba4511cb4e8474fe425b03bb29cbf1b1612e5c8b",
+        "1aa3d7f0769876e64bdd3a0dd9a7db40e552307077bb2a623625a45387e80004",
 }
 
 

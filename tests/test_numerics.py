@@ -7,7 +7,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tschur.measure import MeasureParams, lambda1_cdf_exact, lambda1_cdf_exact_oracle, z_norm
@@ -188,78 +188,106 @@ def test_alpha_series_symbol_consistency():
 
 
 def test_hankel_symbols_leading_coefficient():
-    # m=n=1, t=0: psi1 = (1 + a/z)/(1 + a z); coefficient of z is
-    # a(1 - ... ) -> -a + a^3 - ... = -a/(1+a^2) + ... check numerically
-    a = 0.3
-    p = MeasureParams(1, 1, a, 0.0)
-    psi1, psi2 = numerics.hankel_symbols(p, 1, 30)
-    # psi1_1 = [z^1] (1+a z^{-1}) sum (-a)^k z^k = -a + a*(a^2)... = -a(1 - a^2)
-    assert math.isclose(psi1[0], -a * (1 - a * a), rel_tol=1e-12)
-    # psi2 is the reflected symbol with x and y swapped: same value here
-    assert math.isclose(psi2[0], psi1[0], rel_tol=1e-12)
+    # m = n = 1: lambda_1 is one matrix entry, P(lambda_1 <= h) =
+    # 1 - x^(h+1) (1-t)/(1-tx) with x = alpha^2, and k = 1 leaves the single
+    # product f1_0 f2_0 = x^(h+1) (1-t)/(1-tx); at t = 0, f1_0 = f2_0 = alpha^(h+1)
+    hs = range(0, 60, 7)
+    for a, t in ((0.3, 0.0), (F(1, 2), F(-3)), (F(9, 10), F(-1, 2))):
+        p = MeasureParams(1, 1, a, t)
+        x = p.alpha ** 2
+        f1, f2 = numerics.hankel_symbols(p, hs)
+        assert f1.shape == f2.shape == (len(hs), 1)
+        for h, r1, r2, cdf in zip(hs, f1, f2, numerics.bo_cdf(p, hs)):
+            tail = x ** (h + 1) * (1 - p.t) / (1 - p.t * x)
+            assert math.isclose(r1[0] * r2[0], tail, rel_tol=1e-14)
+            assert abs(cdf - float(1 - tail)) < 1e-15
+            if p.t == 0:
+                assert math.isclose(r1[0], float(p.alpha ** (h + 1)), rel_tol=1e-15)
+                assert r1[0] == r2[0]
 
 
-def _mp_series(c, e, count):
-    """[w^0..w^(count-1)] of (1 + c w)^e."""
-    out = [mpmath.mpf(1)]
-    for i in range(count - 1):
-        out.append(out[-1] * c * (e - i) / (i + 1))
-    return out
+def _hankel_factors(m, n, a, t, one, total):
+    """(y, y0, d) of p1 and of p2 over the scalars of `one` (mpf or
+    Fraction), p(k) = y0 sum_{r=1..d} y_{d-r} C(k+r-1, r-1): y holds the
+    Taylor coefficients of f = ((w-A)/(w-B))^m and
+    g = ((1-t)+tw)^m ((w-A)/(w-1))^n over their values at 0, as Cauchy
+    products of binomial series summed by `total`."""
+    A, B = 1 - a * a, 1 - t * a * a
+
+    def series(c, e, count):  # (1 + c w)^e
+        out = [one]
+        for i in range(count - 1):
+            out.append(out[-1] * c * (e - i) / (i + 1))
+        return out
+
+    def product(*factors):
+        out = factors[0]
+        for s in factors[1:]:
+            out = [total(out[i] * s[l - i] for i in range(l + 1)) for l in range(len(out))]
+        return out
+
+    f = product(series(-1 / A, m, n), series(-1 / B, -m, n))
+    g = product(series(t / (1 - t), m, m), series(-1 / A, n, m), series(-one, -n, m))
+    return (f, (A / B) ** m, n), (g, (1 - t) ** m * A ** n, m)
 
 
-def _mp_product(*factors):
-    out = factors[0]
-    for s in factors[1:]:
-        out = [mpmath.fsum(out[i] * s[l - i] for i in range(l + 1)) for l in range(len(out))]
-    return out
+def rank_k_cdf(p, h):
+    """`numerics.bo_cdf`'s det(I_k - F1 F2) in exact rationals, from its
+    definition: d_s = Δ^s p(h+1) = y0 sum_r y_{d-r} C(h+r, r-1-s),
+    mu_j = (-1)^j sum_{s>=j} C(s+1, j+1) y^s d_s with y = x/(1-x), x = alpha^2,
+    f_j = alpha^(h+1-j) mu_j / (1-x) for j < 2k - 1, F[a, b] = f_{a+b}."""
+    m, n, a = p.m, p.n, p.alpha
+    x, k = a * a, min(m, n)
+    mats = []
+    for y, y0, d in _hankel_factors(m, n, a, p.t, F(1), sum):
+        diffs = [y0 * sum(y[d - r] * math.comb(h + r, r - 1 - s) for r in range(s + 1, d + 1))
+                 for s in range(d)]
+        mu = [(-1) ** j * sum(math.comb(s + 1, j + 1) * (x / (1 - x)) ** s * diffs[s]
+                              for s in range(j, d)) for j in range(2 * k - 1)]
+        f = [a ** (h + 1 - j) * mu[j] / (1 - x) for j in range(2 * k - 1)]
+        mats.append([[f[i + j] for j in range(k)] for i in range(k)])
+    F1, F2 = mats
+    return det_gauss([[(i == j) - sum(F1[i][l] * F2[l][j] for l in range(k)) for j in range(k)]
+                      for i in range(k)])
 
 
-def hankel_oracle(p, ks, dps):
-    """psi1_k and psi2_k at `dps` digits: the Taylor coefficients of f and g
-    as Cauchy products of binomial series, then the sums
-    (-alpha)^k sum_r y_{d-r} C(k+r-1, r-1) term by term."""
-    m, n = p.m, p.n
+def differences_oracle(p, hs, dps):
+    """alpha^(h+1) q^s Δ^s p(h+1), s < degree + 1, q = alpha/(1-alpha^2), for
+    p = p1 and p2 at `dps` digits, with
+    Δ^s p(h+1) = y0 sum_r y_{d-r} C(h+r, r-1-s) term by term."""
     with mpmath.workdps(dps):
         a, t = (mpmath.mpf(F(x).numerator) / F(x).denominator for x in (p.alpha, p.t))
-        A, B = 1 - a * a, 1 - t * a * a
-        # f = ((w-A)/(w-B))^m and g = ((1-t)+tw)^m ((w-A)/(w-1))^n
-        f = _mp_product(_mp_series(-1 / A, m, n), _mp_series(-1 / B, -m, n))
-        g = _mp_product(_mp_series(t / (1 - t), m, m), _mp_series(-1 / A, n, m),
-                        _mp_series(-1, -n, m))
-        out = []
-        for y, y0, d in ((f, (A / B) ** m, n), (g, (1 - t) ** m * A ** n, m)):
-            vals = []
-            for k in ks:
-                acc, binom = mpmath.mpf(0), mpmath.mpf(1)  # binom = C(k+r-1, r-1)
-                for r in range(1, d + 1):
-                    acc += y[d - r] * binom
-                    binom = binom * (k + r) / r
-                vals.append(float((-a) ** k * y0 * acc))
-            out.append(np.array(vals))
-    return out
+        q = a / (1 - a * a)
+        return [np.array([[float(a ** (h + 1) * q ** s * y0 * mpmath.fsum(
+            y[d - r] * math.comb(h + r, r - 1 - s) for r in range(s + 1, d + 1)))
+            for s in range(d)] for h in hs])
+            for y, y0, d in _hankel_factors(p.m, p.n, a, t, mpmath.mpf(1), mpmath.fsum)]
 
 
 @pytest.mark.parametrize(
-    "p, ks, dps",
+    "p, ks, dps",  # ks: the grid of h
     [
-        (MeasureParams(7, 5, F(2, 5), F(0)), range(1, 41), 60),
-        (MeasureParams(5, 7, F(2, 5), F(-3, 2)), range(1, 41), 60),
-        (MeasureParams(12, 9, F(3, 5), F(-1, 2)), range(5, 61), 60),
-        (MeasureParams(9, 12, F(3, 5), F(-1)), range(5, 61), 60),
+        (MeasureParams(7, 5, F(2, 5), F(0)), range(0, 41, 5), 60),
+        (MeasureParams(5, 7, F(2, 5), F(-3, 2)), range(0, 41, 5), 60),
+        (MeasureParams(12, 9, F(3, 5), F(-1, 2)), range(5, 61, 5), 60),
+        (MeasureParams(9, 12, F(3, 5), F(-1)), range(5, 61, 5), 60),
         # a binary float alpha is taken at its exact value
-        (MeasureParams(20, 30, 0.4, F(-1, 2)), range(30, 121), 60),
-        # criterion 9's window at n = 200: the sums there cancel about 90
-        # digits, so the oracle runs 60 digits beyond that
-        (MeasureParams(200, 200, 0.4, -1.0), [*range(324, 834, 10), 833], 150),
+        (MeasureParams(20, 30, 0.4, F(-1, 2)), range(30, 121, 10), 60),
+        # the first and last h of criterion 9's grid at n = 200: the sums
+        # there cancel about 90 digits, so the oracle runs 60 digits beyond
+        (MeasureParams(200, 200, 0.4, -1.0), [290, 347], 150),
     ],
 )
 def test_hankel_symbols_match_mpmath_oracle(p, ks, dps):
-    psi = numerics.hankel_symbols(p, ks[0], ks[-1])
-    ref = hankel_oracle(p, ks, dps)
+    # the exact build: each row of `_differences` is one correctly rounded
+    # quotient of integers times a correctly rounded 2^e alpha^(h+1), so
+    # within 2 ulp of the oracle
+    ref = differences_oracle(p, ks, dps)
     # the oracle's own digits: 40 more change no bit
-    for got, want, check in zip(psi, ref, hankel_oracle(p, ks, dps + 40)):
+    for factor, want, check in zip(numerics._factors(p), ref, differences_oracle(p, ks, dps + 40)):
         assert np.array_equal(want, check)
-        assert np.array_equal(got[np.asarray(ks) - ks[0]], want)  # bit for bit
+        got = numerics._differences(*factor, p.alpha, list(ks))
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -292,12 +320,22 @@ def test_rounded_quotient_at_and_near_ties(scale):
 
 def test_hankel_symbols_validation():
     with pytest.raises(ValueError):
-        numerics.hankel_symbols(params(), 0, 5)
+        numerics.hankel_symbols(params(), -1)
     with pytest.raises(ValueError):
-        numerics.hankel_symbols(params(), 5, 4)
-    # |t alpha| >= 1 is no error: the entries decay like alpha^k on all t <= 0
-    psi1, psi2 = numerics.hankel_symbols(MeasureParams(1, 1, F(1, 2), F(-3)), 1, 5)
-    assert len(psi1) == len(psi2) == 5
+        numerics.hankel_symbols(params(), [3, -1])
+    with pytest.raises(TypeError):
+        numerics.hankel_symbols(params(), 2.0)
+    # one row of 2k - 1 entries per h, k = min(m, n), whatever the rest of
+    # the grid; |t alpha| >= 1 is no error (the entries decay like alpha^k
+    # on all t <= 0)
+    p = MeasureParams(3, 5, F(1, 2), F(-3))
+    f1, f2 = numerics.hankel_symbols(p, [4, 1, 4])
+    assert f1.shape == f2.shape == (3, 5)
+    assert all(map(np.array_equal, numerics.hankel_symbols(p, 1), (f1[1], f2[1])))
+    assert np.array_equal(f1[0], f1[2]) and np.array_equal(f2[0], f2[2])
+    # f1 comes from p1 of degree n - 1 = 4, f2 from p2 of degree m - 1 = 2
+    assert np.all(f1[:, 4] != 0) and np.all(f2[:, 3:] == 0) and np.all(f2[:, 2] != 0)
+    assert [a.shape for a in numerics.hankel_symbols(p, [])] == [(0, 5), (0, 5)]
 
 
 def test_bo_cdf_tail_and_degenerate_limits():
@@ -310,13 +348,13 @@ def test_bo_cdf_tail_and_degenerate_limits():
 
 
 def test_bo_cdf_raises_outside_unit_interval(monkeypatch):
-    # flipping psi2 turns det(I - H1 H2) into det(I + H1 H2) > 1: the value
+    # flipping f2 turns det(I - F1 F2) into det(I + F1 F2) > 1: the value
     # must be refused, not clamped to 1
     build = numerics.hankel_symbols
 
-    def flipped(params, kmin, kmax):
-        psi1, psi2 = build(params, kmin, kmax)
-        return psi1, -psi2
+    def flipped(params, h):
+        f1, f2 = build(params, h)
+        return f1, -f2
 
     monkeypatch.setattr(numerics, "hankel_symbols", flipped)
     with pytest.raises(ArithmeticError, match=r"outside \[0, 1\]"):
@@ -335,17 +373,16 @@ def test_bo_cdf_raises_outside_unit_interval(monkeypatch):
 )
 def test_bo_cdf_grid_matches_single_calls(monkeypatch, p, hs):
     single = [numerics.bo_cdf(p, h) for h in hs]
-    windows = []
+    grids = []
     build = numerics.hankel_symbols
 
-    def counted(params, kmin, kmax):
-        windows.append((kmin, kmax))
-        return build(params, kmin, kmax)
+    def counted(params, h):
+        grids.append(list(h))
+        return build(params, h)
 
     monkeypatch.setattr(numerics, "hankel_symbols", counted)
     assert numerics.bo_cdf(p, hs) == single  # bit for bit
-    end = max(hs) + numerics.default_section(p)
-    assert windows == [(min(hs) + 1, 2 * end - 1)]  # one build for the whole grid
+    assert grids == [list(hs)]  # one build for the whole grid
 
 
 @pytest.mark.parametrize(
@@ -365,16 +402,78 @@ def test_bo_cdf_matches_exact_at_moderate_n(p, hs):
         assert abs(val - float(ref)) < 1e-10, h
 
 
-def test_bo_cdf_large_size_is_stable(monkeypatch):
-    # the regime where double-precision coefficient recurrences are pure noise
+def test_bo_cdf_large_size_is_stable():
+    # the regime where double-precision coefficient recurrences are pure
+    # noise: n = 60 at the centre of its law (c1 = 2), against the exact
+    # rank-k determinant (`rank_k_cdf`, floor(10^30 P), committed because it
+    # takes seconds)
     p = MeasureParams(60, 60, F(1, 2), F(0))
-    h = 120  # center of the distribution, c1 = 2
-    v1 = numerics.bo_cdf(p, h)
-    section = numerics.default_section
-    monkeypatch.setattr(numerics, "default_section", lambda params: section(params) + 40)
-    v2 = numerics.bo_cdf(p, h)
-    assert 0.4 < v1 < 1.0
-    assert abs(v1 - v2) < 1e-9
+    assert abs(numerics.bo_cdf(p, 120) - 970598317371201282569063272980 / 10 ** 30) < 1e-14
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5),
+       st.fractions(F(1, 20), F(19, 20), max_denominator=20),
+       st.fractions(-6, 0, max_denominator=4), st.integers(0, 10))
+@example(3, 5, F(1, 2), F(-3), 7)  # m != n and |t alpha| >= 1
+@example(5, 2, F(9, 10), F(-2), 10)
+def test_rank_k_determinant_is_exact(m, n, alpha, t, h):
+    # the identity behind `bo_cdf`, as rationals, against the Toeplitz route
+    p = MeasureParams(m, n, alpha, t)
+    exact = lambda1_cdf_exact(p, h, mode="exact")
+    assert rank_k_cdf(p, h) == exact
+    assert abs(numerics.bo_cdf(p, h) - float(exact)) < 1e-12
+
+
+# ROADMAP item 1's regression grid: m = n, h = round(c n) with c from
+# `asymptotics.constants`.  A reference of None is the exact Toeplitz route,
+# run here (h <= 100); the others are the exact rank-k determinant
+# (`rank_k_cdf`) as floor(10^30 P), committed because each takes seconds to
+# minutes.
+REGRESSION_GRID = {
+    15: [("1/5", "0", 8, None), ("1/5", "-1/2", 9, None), ("1/5", "-1", 10, None),
+         ("1/5", "-3", 13, None), ("1/2", "0", 30, None), ("1/2", "-1/2", 33, None),
+         ("1/2", "-1", 35, None), ("1/2", "-3", 39, None),
+         ("4/5", "0", 120, 971920412109612660488600625938),
+         ("4/5", "-1/2", 124, 970601170533699805412382880290),
+         ("4/5", "-1", 127, 973401335767499504741151462299),
+         ("4/5", "-3", 131, 973738335245019681419414298732),
+         ("9/10", "0", 270, 971878419265538183199826041264),
+         ("9/10", "-1/2", 275, 972609045521550027581517788980),
+         ("9/10", "-1", 277, 971652280079257933200383697471),
+         ("9/10", "-3", 281, 971994355689281294921174680771)],
+    25: [("1/5", "0", 12, None), ("1/5", "-1/2", 15, None), ("1/5", "-1", 16, None),
+         ("1/5", "-3", 21, None), ("1/2", "0", 50, None), ("1/2", "-1/2", 55, None),
+         ("1/2", "-1", 58, None), ("1/2", "-3", 65, None),
+         ("4/5", "0", 200, 971208111339090751529014801846),
+         ("4/5", "-1/2", 207, 970652473691014944048076317134),
+         ("4/5", "-1", 211, 970780956478363525694262534882),
+         ("4/5", "-3", 218, 972559291377305117711673455431),
+         ("9/10", "0", 450, 971178196248064316619417709815),
+         ("9/10", "-1/2", 458, 971619210550173389650100294889),
+         ("9/10", "-1", 462, 971467604111391858242874267824),
+         ("9/10", "-3", 468, 970728277718089969865270678983)],
+    40: [("1/5", "0", 20, None), ("1/5", "-1/2", 24, None), ("1/5", "-1", 26, None),
+         ("1/5", "-3", 34, None), ("1/2", "0", 80, None), ("1/2", "-1/2", 88, None),
+         ("1/2", "-1", 93, None),
+         ("1/2", "-3", 104, 971959123530574862179356042183),
+         ("4/5", "0", 320, 970725842313864752072242466185),
+         ("4/5", "-1/2", 331, 969260150633352312307655027926),
+         ("4/5", "-1", 338, 971476120214362699470849833376),
+         ("4/5", "-3", 348, 969933469526765043184850833297),
+         ("9/10", "0", 720, 970703959281829371192388151508),
+         ("9/10", "-1/2", 732, 970040151622767229737622250305),
+         ("9/10", "-1", 739, 970788075662618602067898736242),
+         ("9/10", "-3", 749, 970402318811992616743685782207)],
+}
+
+
+@pytest.mark.parametrize("n", sorted(REGRESSION_GRID))
+def test_float_route_meets_the_regression_grid(n):
+    for alpha, t, h, ref in REGRESSION_GRID[n]:
+        p = MeasureParams(n, n, F(alpha), F(t))
+        want = lambda1_cdf_exact(p, h, mode="exact") if ref is None else F(ref, 10 ** 30)
+        assert abs(lambda1_cdf_exact(p, h, mode="float") - float(want)) < 1e-10, (alpha, t, h)
 
 
 def toeplitz_slogdet(params, h):

@@ -118,6 +118,20 @@ def test_gen_e_reads_numpy_integers_as_ints():
         gen_e_coeffs(SpecializedVars(40, F(1, 2)), F(-1), 30)
 
 
+def test_specialized_vars_refuse_bad_values():
+    # NaN and inf used to fail late (inside the recurrence) and a str such
+    # as '1/3' was read as a rational; all are refused at construction, as
+    # MeasureParams refuses them, in a list of variables too
+    for bad in (float("nan"), float("inf"), "1/3"):
+        with pytest.raises(ValueError, match="value must be finite and real"):
+            SpecializedVars(2, bad)
+        with pytest.raises(ValueError, match="value must be finite and real"):
+            gen_e_coeffs([F(1, 2), bad], 0, 3)
+    # a float is kept at its binary value, a NumPy integer as a Fraction of ints
+    assert SpecializedVars(2, 0.37).value == F(0.37)
+    assert type(SpecializedVars(2, np.int64(1)).value.numerator) is int
+
+
 def test_gen_e_rejects_negative_order():
     with pytest.raises(ValueError):
         gen_e_coeffs(SpecializedVars(1, F(1, 2)), 0, -1)
