@@ -425,7 +425,8 @@ def test_rank_k_determinant_is_exact(m, n, alpha, t, h):
     assert abs(numerics.bo_cdf(p, h) - float(exact)) < 1e-12
 
 
-# ROADMAP item 1's regression grid: m = n, h = round(c n) with c from
+# The float route's regression grid, over the hard corners (alpha near 1,
+# t = -1, n in the tens): m = n, h = round(c n) with c from
 # `asymptotics.constants`.  A reference of None is the exact Toeplitz route,
 # run here (h <= 100); the others are the exact rank-k determinant
 # (`rank_k_cdf`) as floor(10^30 P), committed because each takes seconds to
