@@ -147,12 +147,12 @@ def criterion_09():
     s_grid = [-4.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0]
     ok = True
     report = []
-    for (a, tau, t) in ((0.5, 1.0, 0.0), (0.4, 1.0, -1.0)):
+    for (a, tau, t) in ((F(1, 2), 1, F(0)), (F(2, 5), 1, F(-1))):
         _, summary = convergence_experiment(a, tau, t, [20, 200], s_grid)
         d20 = summary[0]["sup_distance"]
         d200 = summary[1]["sup_distance"]
         ok = ok and d200 < 0.1 and d200 < d20
-        report.append(f"t={t}: {d20:.3f} -> {d200:.3f}")
+        report.append(f"t={float(t)}: {d20:.3f} -> {d200:.3f}")
     return ok, "scaled CDF sup-distance to F2 (" + "; ".join(report) + ")"
 
 

@@ -1,4 +1,4 @@
-"""Airy function Ai and its derivative, from `scipy.special.airy`."""
+"""Airy function Ai and its derivative, from one `scipy.special.airy` call."""
 
 from __future__ import annotations
 
@@ -7,12 +7,6 @@ import scipy.special
 
 
 def airy_ai(x):
-    """Ai(x); a scalar gives a float, an array an array."""
-    ai = scipy.special.airy(x)[0]
-    return float(ai) if np.ndim(ai) == 0 else ai
-
-
-def airy_ai_prime(x):
-    """Ai'(x); a scalar gives a float, an array an array."""
-    aip = scipy.special.airy(x)[1]
-    return float(aip) if np.ndim(aip) == 0 else aip
+    """(Ai(x), Ai'(x)); a scalar gives two floats, an array two arrays."""
+    ai, aip, _, _ = scipy.special.airy(x)
+    return (float(ai), float(aip)) if np.ndim(ai) == 0 else (ai, aip)

@@ -157,7 +157,10 @@ def scaled_cdf(params, data, s, shift=-1):
 def convergence_experiment(alpha, tau, t, n_list, s_grid, shift=-1):
     """Sup-distance between the scaled lambda_1 law and F2 for each n.
 
-    The CDF values come from the float route of `lambda1_cdf_exact`, one
+    `alpha` and `t` reach `MeasureParams` as given, so a rational is the
+    measure at that rational and a float the measure at its binary value;
+    only the saddle-point constants take their nearest doubles.  The CDF
+    values come from the float route of `lambda1_cdf_exact`, one
     `scaled_cdf` call per n over the whole s-grid, so the integer Newton
     differences are built once per n.  Returns (rows, summary): rows are
     dicts with n, s, empirical_cdf, f2 and abs_diff (or n, s and error if
@@ -168,14 +171,14 @@ def convergence_experiment(alpha, tau, t, n_list, s_grid, shift=-1):
     if not len(n_list) or not len(s_grid):
         raise ValueError("n_list and s_grid must be nonempty")
     f2_vals = {float(s): tw_f2(float(s)) for s in s_grid}
-    data = constants(alpha, tau, t)
+    data = constants(float(alpha), float(tau), float(t))
     rows = []
     summary = []
     for n in n_list:
         m = tau * n
         if abs(m - round(m)) > 1e-9:
             raise ValueError(f"tau * n must be an integer; got {m}")
-        params = MeasureParams(int(round(m)), int(n), float(alpha), float(t))
+        params = MeasureParams(int(round(m)), int(n), alpha, t)
         sup = 0.0
         try:
             cdfs = scaled_cdf(params, data, [float(s) for s in s_grid], shift=shift)

@@ -67,14 +67,13 @@ def _parse_grid(text, cast=float):
     return [cast(tok) for tok in text.replace(",", " ").split()]
 
 
+def _exact(*texts):
+    """Flag texts as Fractions: '2/5', '0.4' and '-1' all parse exactly."""
+    return [Fraction(text) for text in texts]
+
+
 def _measure_params(args):
-    """MeasureParams with exact alpha and t: '2/5', '0.4' and '-1' all parse exactly."""
-    return MeasureParams(args.m, args.n, Fraction(args.alpha), Fraction(args.t))
-
-
-def _saddle_params(args):
-    """(alpha, tau, t) as the doubles nearest the exact values of the flags."""
-    return tuple(float(Fraction(v)) for v in (args.alpha, args.tau, args.t))
+    return MeasureParams(args.m, args.n, *_exact(args.alpha, args.t))
 
 
 def cmd_rsk(args):
@@ -146,7 +145,7 @@ def cmd_sample(args):
 def cmd_constants(args):
     from .asymptotics import constants
 
-    alpha, tau, t = _saddle_params(args)
+    alpha, tau, t = map(float, _exact(args.alpha, args.tau, args.t))
     data = constants(alpha, tau, t)
     record = {
         "alpha": alpha, "tau": tau, "t": t,
@@ -170,7 +169,7 @@ def cmd_tw(args):
 def cmd_converge(args):
     from .asymptotics import convergence_experiment
 
-    alpha, tau, t = _saddle_params(args)
+    alpha, tau, t = _exact(args.alpha, args.tau, args.t)
     n_list = sorted(_parse_grid(args.n_list, cast=int))
     s_grid = sorted(_parse_grid(args.s_grid))
     rows, summary = convergence_experiment(

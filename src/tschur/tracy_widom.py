@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .airy import airy_ai, airy_ai_prime
+from .airy import airy_ai
 
 ORDER = 80  # Gauss-Legendre nodes on the mapped interval
 CUT = 30.0  # the interval is (s, s + CUT); K(x, x) < 1e-54 beyond x = 20
@@ -44,7 +44,7 @@ def _rule(order):
 def _kernel_matrix(xs):
     """K_Airy(x_i, x_j) = (Ai(x)Ai'(y) - Ai'(x)Ai(y))/(x - y) on distinct nodes,
     with the diagonal Ai'(x)^2 - x Ai(x)^2."""
-    ai, aip = airy_ai(xs), airy_ai_prime(xs)
+    ai, aip = airy_ai(xs)
     diff = xs[:, None] - xs[None, :]
     np.fill_diagonal(diff, 1.0)
     K = (ai[:, None] * aip[None, :] - aip[:, None] * ai[None, :]) / diff

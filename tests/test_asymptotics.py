@@ -1,6 +1,7 @@
 """Saddle-point constants, Tracy-Widom F2, and the convergence experiment."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 import scipy.optimize
 
 from tschur import asymptotics, tracy_widom
-from tschur.airy import airy_ai, airy_ai_prime
+from tschur.airy import airy_ai
 from tschur.asymptotics import (
     constants,
     convergence_experiment,
@@ -185,7 +186,7 @@ def _nystrom_from_scratch(s, order):
     scale = tracy_widom.CUT / math.expm1(tracy_widom.KAPPA)
     xs = s + scale * np.expm1(tracy_widom.KAPPA * u)
     dx = scale * tracy_widom.KAPPA * np.exp(tracy_widom.KAPPA * u)
-    ai, aip = airy_ai(xs), airy_ai_prime(xs)
+    ai, aip = airy_ai(xs)
     diff = xs[:, None] - xs[None, :]
     np.fill_diagonal(diff, 1.0)
     K = (ai[:, None] * aip[None, :] - aip[:, None] * ai[None, :]) / diff
@@ -255,6 +256,19 @@ def test_convergence_experiment_rejects_empty_grids():
     for n_list, s_grid in (([10], []), ([], [0.0])):
         with pytest.raises(ValueError, match="nonempty"):
             convergence_experiment(0.5, 1.0, 0.0, n_list, s_grid)
+
+
+def test_convergence_experiment_keeps_its_parameters_exact(monkeypatch):
+    # 2/5 reaches the measure as 2/5, not as the double nearest it
+    seen = []
+
+    def recording(params, data, s, shift=-1):
+        seen.append(params)
+        return [0.5] * len(s)
+
+    monkeypatch.setattr(asymptotics, "scaled_cdf", recording)
+    convergence_experiment(Fraction(2, 5), 1, Fraction(-1), [20], [0.0])
+    assert [(p.m, p.n, p.alpha, p.t) for p in seen] == [(20, 20, Fraction(2, 5), Fraction(-1))]
 
 
 def test_convergence_experiment_reports_nan_for_a_failed_n(monkeypatch):

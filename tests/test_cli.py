@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import re
 import shlex
@@ -182,12 +183,13 @@ def test_dist_output_bytes_pinned():
 
 
 # sha256 of `tschur converge` stdout at the two configurations of acceptance
-# criterion 9, on the benchmark's s-grid and at its largest n of each
+# criterion 9, on the benchmark's s-grid and at its largest n of each; the
+# flags parse exactly, so `--alpha 0.4` computes at 2/5
 CONVERGE_SHA256 = {
     "--alpha 0.5 --t 0 --n-list 64 --s-grid=-4,-3,-2,-1,0,1,2,3":
         "3e540ee780e31cd31c257b4a77827a1488277d41f9699594a92bc2d4be1222dd",
     "--alpha 0.4 --t=-1 --n-list 50 --s-grid=-4,-3,-2,-1,0,1,2,3":
-        "1aa3d7f0769876e64bdd3a0dd9a7db40e552307077bb2a623625a45387e80004",
+        "23c5a75d419e2e8ff33f48c960cb4176ed1b8f3d415a17d52bebd217c3da5b72",
 }
 
 
@@ -196,6 +198,29 @@ def test_converge_output_bytes_pinned():
         res = run_cli("converge", *args.split())
         assert res.returncode == 0
         assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest, args
+
+
+def test_converge_reads_alpha_exactly_as_dist_does():
+    # '0.4' is 2/5, not the double 0.4: the data rows match '2/5' and the
+    # float route at F(2, 5) on each row's lattice point
+    from fractions import Fraction as F
+
+    from tschur.asymptotics import constants
+    from tschur.measure import MeasureParams, lambda1_cdf_exact
+
+    grid = "--s-grid=-4,-3,-2,-1,0,1,2,3"
+    outs = [run_cli("converge", "--alpha", a, "--t=-1", "--n-list", "50", grid)
+            for a in ("0.4", "2/5")]
+    rows = [[line for line in out.stdout.splitlines() if not line.startswith("# alpha")]
+            for out in outs]
+    assert rows[0] == rows[1]
+    data = constants(0.4, 1.0, -1.0)
+    params = MeasureParams(50, 50, F(2, 5), F(-1))
+    cells = [line.split(",") for line in rows[0] if line.startswith("50,")]
+    assert len(cells) == 9  # eight data rows, then the summary row
+    for s, cdf in ((float(c[1]), float(c[2])) for c in cells[:8]):
+        h = math.ceil(data.c * 50 + 50 ** (1 / 3) * s / data.g) - 1
+        assert cdf == lambda1_cdf_exact(params, h, mode="float"), s
 
 
 # sha256 of `tschur tw` stdout on the README's grid and the benchmark's
