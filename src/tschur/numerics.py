@@ -3,12 +3,14 @@
 The symbol is phi(z) = E~_{x,t}(z) E_y(z) specialized at x = alpha^m,
 y = alpha^n; phi_k = sum_j e_j(x;t) e_{j+k}(y) is a finite sum, and
 det T_h(phi)/Z_t is the lambda_1 CDF (Gessel identity).  One fraction-free
-Levinson recurrence, O(h^2) ring operations, computes det T_h over the
-rationals and over alpha-series, cleared to integer coefficients; a grid of
-h shares one pass (its leading minors, each below the largest h - 1 a
-divisor that must not vanish).  The float route evaluates the same CDF as
-the Borodin-Okounkov determinant det(I - H1 H2), exactly reduced to a
-min(m, n) x min(m, n) determinant in the Meixner basis: no section.
+Levinson recurrence, O(h^2) integer operations, computes det T_h of a
+rational symbol cleared to integers; a grid of h shares one pass (its
+leading minors, each below the largest h - 1 a divisor that must not
+vanish).  Both sides of Gessel's identity are polynomials in alpha^2, so
+`gessel_check` compares exact values at enough points.  The float route
+evaluates the same CDF as the Borodin-Okounkov determinant det(I - H1 H2),
+exactly reduced to a min(m, n) x min(m, n) determinant in the Meixner
+basis: no section.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from numbers import Rational
 
 import numpy as np
 
-from .series import TruncatedSeries, _taylor_ode, first_mismatch
-from .series import det_gauss  # noqa: F401 (looked up by perfbench's tracer test)
+from .series import TruncatedSeries, _taylor_ode, det_gauss
 from .symfunc import SpecializedVars, gen_e_coeffs, on_even_degrees, weights_by_size
 
 _CDF_TOL = 1e-8  # largest excursion outside [0, 1] that `bo_cdf` accepts
@@ -104,34 +105,25 @@ def _grid(h):
 
 
 def toeplitz_det(sym, h):
-    """Exact determinant of the h x h Toeplitz slice T_h(phi), for a rational
-    or alpha-series symbol.
+    """Exact determinant of the h x h Toeplitz slice T_h(phi), phi rational.
 
     `h` may be an int or a sequence of ints (returns a list with one value
     per h): the leading minors of one fraction-free `_levinson` pass at the
-    largest h, O(h^2) ring operations.  The entries, conjugated by
+    largest h, O(h^2) integer operations.  The entries, conjugated by
     phi_k -> a^k phi_k (a = `sym.scale`), are cleared with one denominator D
-    to integers or integer-coefficient series, so det T_k = d_k / D^k.  The
-    pass divides by every d_k below the largest h - 1: each must be nonzero,
-    over alpha-series in its constant term, or ValueError is raised.  The
-    measure's d_k are D^k Z_t P(lambda_1 <= k) > 0, and T_h = I mod alpha.
+    to integers, so det T_k = d_k / D^k.  The pass divides by every d_k
+    below the largest h - 1: each must be nonzero, or ValueError is raised.
+    The measure's d_k are D^k Z_t P(lambda_1 <= k) > 0.  A float or series
+    entry raises ValueError.
     """
     single, hs = _grid(h)
     top = max(hs, default=0)
     a = Fraction(sym.scale)
     entries = [sym.coeff(k) * a ** k for k in range(1 - top, top)]
-    if entries and all(isinstance(v, TruncatedSeries) for v in entries):
-        w = min(v.order for v in entries) + 1
-        flat, den = _integers([Fraction(x) for v in entries for x in v.coeffs[:w]])
-        c = [TruncatedSeries(flat[i : i + w]) for i in range(0, len(flat), w)]
-        div = _exact_series_div
-    elif all(isinstance(v, Rational) for v in entries):
-        c, den = _integers(entries)
-        div = _exact_div
-    else:
-        raise ValueError("the exact Toeplitz determinant needs rational (or alpha-series) "
-                         "symbol coefficients")
-    minors = _levinson(c, top, div)
+    if not all(isinstance(v, Rational) for v in entries):
+        raise ValueError("the exact Toeplitz determinant needs rational symbol coefficients")
+    c, den = _integers(entries)
+    minors = _levinson(c, top, _exact_div)
     vals = [minors[hh] * Fraction(1, den ** hh) for hh in hs]
     return vals[0] if single else vals
 
@@ -139,21 +131,11 @@ def toeplitz_det(sym, h):
 def _exact_div(num, den):
     if not den:
         raise ValueError("the Levinson pass divides by every leading minor below h - 1: "
-                         "each must be nonzero, over alpha-series with a nonzero constant term")
+                         "each must be nonzero")
     q, r = divmod(num, den)
     if r:
         raise ArithmeticError(f"inexact division by {den} in the fraction-free Levinson pass")
     return q
-
-
-def _exact_series_div(num, den):
-    """num / den for series with integer coefficients (den may be an int),
-    by truncated long division; each coefficient goes through `_exact_div`."""
-    d = den.coeffs if isinstance(den, TruncatedSeries) else [den]
-    q = []
-    for j, nj in enumerate(num.coeffs):
-        q.append(_exact_div(nj - sum(map(operator.mul, d[1 : j + 1], reversed(q))), d[0]))
-    return TruncatedSeries(q, num.order)
 
 
 def _levinson(c, h, div):
@@ -186,10 +168,11 @@ def _levinson(c, h, div):
 
 
 def toeplitz_det_series(sym, h):
-    """det T_h of an alpha-series symbol (`symbol_phi_alpha_series`), as a
-    series through the entries' truncation order: `toeplitz_det`, with its
-    precondition (T_h = I mod alpha meets it)."""
-    return toeplitz_det(sym, h)
+    """det T_h of an alpha-series symbol (`symbol_phi_alpha_series`), for an
+    int h, as a series through the entries' truncation order: `det_gauss`
+    over the series entries.  Every pivot it meets must have a nonzero
+    constant term; T_h = I mod alpha provides them for the measure's symbol."""
+    return det_gauss([[sym.coeff(i - j) for j in range(h)] for i in range(h)])
 
 
 def gessel_lhs_alpha_series(m, n, t, h, degree):
@@ -199,17 +182,33 @@ def gessel_lhs_alpha_series(m, n, t, h, degree):
     return on_even_degrees(weights_by_size(m, n, t, degree // 2, max_part=h), degree)
 
 
-def gessel_check(m, n, t, h, degree):
-    """Degreewise verification of Gessel's identity through alpha^degree at
-    every h' <= h: the partition sum over lambda_1 <= h' equals det T_h' of
-    the alpha-series symbol, all det T_h' from one pass.  Returns (ok,
-    mismatch) as `symfunc.cauchy_check` does, with the mismatch
-    (h', k, lhs_k, rhs_k) at the first h' that fails."""
-    sym = symbol_phi_alpha_series(m, n, t, -(max(h, 1) - 1), max(h - 1, 0), degree)
-    for hh, det in enumerate(toeplitz_det_series(sym, range(h + 1))):
-        mismatch = first_mismatch(gessel_lhs_alpha_series(m, n, t, hh, degree), det, degree)
-        if mismatch is not None:
-            return False, (hh, *mismatch)
+def gessel_check(m, n, t, h):
+    """Gessel's identity at every h' <= h, t <= 0, as polynomials in
+    rho = alpha^2: the partition sum over lambda_1 <= h' equals det T_h'(phi).
+
+    Both sides have rho-degree at most h n: a partition in the h' x n box
+    has |lambda| <= h' n, and each conjugated entry alpha^k phi_k =
+    sum_j e_j(1^m;t) e_{j+k}(1^n) rho^(j+k) has rho-degree at most n, as
+    e_l(1^n) vanishes beyond l = n.  So exact values at the h n + 1 points
+    alpha = 1/(j+2) settle it: one `toeplitz_det` pass per point gives every
+    det T_h', and the partition side is `weights_by_size` in Horner form.
+    Returns (ok, mismatch) as `symfunc.cauchy_check` does, the mismatch
+    (h', alpha, lhs, rhs) at the first h' that fails, lhs the partition sum.
+    """
+    from .measure import MeasureParams  # measure imports this module
+
+    top = max(h - 1, 0)
+    alphas = [Fraction(1, j + 2) for j in range(h * n + 1)]
+    dets = [toeplitz_det(symbol_phi(MeasureParams(m, n, a, t), -top, top), range(h + 1))
+            for a in alphas]
+    for hh in range(h + 1):
+        weights = weights_by_size(m, n, t, hh * n, max_part=hh)
+        for a, det in zip(alphas, dets):
+            lhs = 0
+            for wk in reversed(weights):
+                lhs = lhs * a * a + wk
+            if lhs != det[hh]:
+                return False, (hh, a, lhs, det[hh])
     return True, None
 
 

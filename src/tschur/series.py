@@ -1,12 +1,12 @@
-"""Truncated power series and the exact determinants of the identity checks.
+"""Truncated power series, Gaussian elimination, and the one Taylor recurrence.
 
 A series holds the coefficients of X^0, ..., X^order in a field (the library
 builds every series exactly, in ints and Fractions); everything above
-``order`` is unknown.  The Cauchy and Gessel identities are checked
-degreewise on such series.  `det_gauss` takes determinants over a field;
-the Toeplitz determinants with series entries come from the Levinson
-recurrence of `numerics.toeplitz_det`.  `_taylor_ode`, the one Taylor
-recurrence of P y' = Q y, gives the e/h-coefficients and the Hankel factors.
+``order`` is unknown.  The e/h-coefficients of a specialization are such
+series, and an explicit variable list multiplies them.  `det_gauss` takes
+determinants over a field, or over series when every pivot is a unit.
+`_taylor_ode`, the one Taylor recurrence of P y' = Q y, gives the
+e/h-coefficients and the Hankel factors.
 """
 
 from __future__ import annotations
@@ -63,6 +63,9 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other):
+        return self * other.inverse()
+
     def inverse(self):
         """Multiplicative inverse; the coefficient of X^0 must be a unit."""
         c0 = self.coeffs[0]
@@ -100,21 +103,12 @@ class TruncatedSeries:
         return f"TruncatedSeries({body} + O(X^{self.order + 1}))"
 
 
-def first_mismatch(lhs, rhs, degree):
-    """The first (k, lhs_k, rhs_k), k <= degree, at which two series differ,
-    or None; a scalar c stands for the series c + O(X^(degree+1))."""
-    lhs, rhs = (s if isinstance(s, TruncatedSeries) else TruncatedSeries([s], degree)
-                for s in (lhs, rhs))
-    for k in range(degree + 1):
-        if lhs.coeff(k) != rhs.coeff(k):
-            return k, lhs.coeff(k), rhs.coeff(k)
-    return None
-
-
 def det_gauss(rows):
     """Determinant of a square matrix over a field, by Gaussian elimination.
 
-    Works for Fraction or float entries.  The 0x0 determinant is 1.
+    Works for Fraction or float entries, and for TruncatedSeries entries when
+    every pivot it meets has a nonzero constant term (`inverse` raises
+    otherwise).  The 0x0 determinant is 1.
     """
     n = len(rows)
     if n == 0:

@@ -22,7 +22,7 @@ from numbers import Rational, Real
 
 from .partitions import partitions
 from .rsk import Entry, MarkedTableau, _col_step, _row_step, validate_marked_tableau
-from .series import TruncatedSeries, _taylor_ode, det_gauss, first_mismatch
+from .series import TruncatedSeries, _taylor_ode, det_gauss
 
 
 def exact_scalar(v, name):
@@ -202,19 +202,16 @@ def on_even_degrees(coeffs, degree):
     return TruncatedSeries([c for ck in coeffs for c in (ck, Fraction(0))], degree)
 
 
-def cauchy_rhs_series(m, n, t, degree):
-    """Z_t = ((1 - t alpha^2)/(1 - alpha^2))^(mn) expanded through `degree`:
-    the h-series H(rho) of mn variables equal to 1, from `gen_h_coeffs`."""
-    return on_even_degrees(gen_h_coeffs(SpecializedVars(m * n, 1), t, degree // 2).coeffs, degree)
-
-
 def cauchy_check(m, n, t, degree):
-    """Degreewise verification of the Cauchy identity
+    """Verification of the Cauchy identity
     sum_lambda S_lambda(alpha^m;t) s_lambda(alpha^n) = ((1-t alpha^2)/(1-alpha^2))^(mn)
-    through alpha^degree; the left side is `weights_by_size` placed on the
-    even degrees.  Returns (ok, mismatch): `mismatch` is None on success,
-    else the first (exponent, lhs, rhs) triple that disagrees.
+    through alpha^degree, as exact coefficient lists in rho = alpha^2: the
+    left side is `weights_by_size`, the right side the h-series H(rho) of mn
+    variables equal to 1 (`gen_h_coeffs`).  Returns (ok, mismatch):
+    `mismatch` is None on success, else the first (exponent, lhs, rhs)
+    triple that disagrees, exponent = 2k for the coefficient of rho^k.
     """
-    lhs = on_even_degrees(weights_by_size(m, n, t, degree // 2), degree)
-    mismatch = first_mismatch(lhs, cauchy_rhs_series(m, n, t, degree), degree)
+    lhs = weights_by_size(m, n, t, degree // 2)
+    rhs = gen_h_coeffs(SpecializedVars(m * n, 1), t, degree // 2).coeffs
+    mismatch = next(((2 * k, l, r) for k, (l, r) in enumerate(zip(lhs, rhs)) if l != r), None)
     return mismatch is None, mismatch

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from tschur.measure import MeasureParams, lambda1_cdf_exact, lambda1_cdf_exact_oracle, z_norm
 from tschur import numerics
-from tschur.series import TruncatedSeries, det_gauss
+from tschur.series import det_gauss
 
 F = Fraction
 
@@ -112,11 +112,6 @@ def test_levinson_division_is_checked():
     assert numerics._exact_div(-12, 4) == -3
     with pytest.raises(ArithmeticError):
         numerics._exact_div(7, 2)
-    # (2 + X)(1 + X) = 2 + 3X + X^2 over integer series; 1 + X over 2 leaves 1/2
-    q = numerics._exact_series_div(TruncatedSeries([2, 3, 1]), TruncatedSeries([1, 1, 0]))
-    assert q == TruncatedSeries([2, 1, 0])
-    with pytest.raises(ArithmeticError):
-        numerics._exact_series_div(TruncatedSeries([1, 1]), TruncatedSeries([2, 0]))
 
 
 def test_exact_grid_matches_single_calls(monkeypatch):
@@ -146,31 +141,53 @@ def test_toeplitz_h0():
 
 
 def test_exact_route_refuses_float_parameters():
-    # a float symbol built by hand; `symbol_phi` itself is always rational
-    with pytest.raises(ValueError, match="rational"):
-        numerics.toeplitz_det(numerics.SymbolCoefficients(-3, 3, [0.1] * 7), 4)
+    # a float symbol built by hand; `symbol_phi` itself is always rational.
+    # An alpha-series symbol is refused too: `toeplitz_det` runs over one ring
+    series = numerics.symbol_phi_alpha_series(2, 2, F(-1), -3, 3, 8)
+    for sym in (numerics.SymbolCoefficients(-3, 3, [0.1] * 7), series):
+        with pytest.raises(ValueError, match="rational"):
+            numerics.toeplitz_det(sym, 4)
 
 
 def test_gessel_check_reads_a_float_t_at_its_binary_value():
     # the partition side used to run in rounded doubles, the Toeplitz side in
     # the Fractions of the binary -0.3, so the check failed at h = 2
-    assert numerics.gessel_check(2, 2, -0.3, 3, 12) == (True, None)
+    assert numerics.gessel_check(2, 2, -0.3, 3) == (True, None)
 
 
 def test_gessel_identity_degreewise():
-    # one Levinson pass per (m, n, t) gives every det T_h, h <= 8
+    # every det T_h, h <= 8, as a whole polynomial in alpha^2, from one
+    # Levinson pass per point
     for (m, n) in ((2, 2), (3, 2)):
         for t in (F(0), F(-1)):
-            ok, mismatch = numerics.gessel_check(m, n, t, 8, 20)
+            ok, mismatch = numerics.gessel_check(m, n, t, 8)
             assert ok, (m, n, t, mismatch)
 
 
+def _perturbed_weights(monkeypatch, h, k):
+    """Make `weights_by_size` capped at h add 1 to its coefficient of rho^k."""
+    weights = numerics.weights_by_size
+
+    def perturbed(m, n, t, size, max_part=None):
+        w = weights(m, n, t, size, max_part)
+        if max_part == h:
+            w[k] += 1
+        return w
+
+    monkeypatch.setattr(numerics, "weights_by_size", perturbed)
+
+
 def test_gessel_check_names_the_failing_h(monkeypatch):
-    lhs = numerics.gessel_lhs_alpha_series
-    monkeypatch.setattr(numerics, "gessel_lhs_alpha_series",
-                        lambda m, n, t, h, degree: lhs(m, n, t, h, degree) + (1 if h == 3 else 0))
-    ok, mismatch = numerics.gessel_check(2, 2, F(-1), 5, 10)
-    assert not ok and mismatch[:2] == (3, 0)
+    _perturbed_weights(monkeypatch, 3, 0)
+    ok, (h, a, lhs, rhs) = numerics.gessel_check(2, 2, F(-1), 5)
+    assert not ok and (h, a, lhs - rhs) == (3, F(1, 2), 1)
+
+
+def test_gessel_check_sees_the_top_coefficient(monkeypatch):
+    # the top coefficient, rho^(h n) = alpha^20 at h = 5, n = 2
+    _perturbed_weights(monkeypatch, 5, 10)
+    ok, (h, a, lhs, rhs) = numerics.gessel_check(2, 2, F(-1), 5)
+    assert not ok and (h, a, lhs - rhs) == (5, F(1, 2), F(1, 2) ** 20)
 
 
 def test_alpha_series_symbol_consistency():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from tschur.numerics import SymbolCoefficients, symbol_phi_alpha_series, toeplitz_det_series
 from tschur.series import TruncatedSeries, _taylor_ode, det_gauss
-from tschur.symfunc import cauchy_rhs_series, gen_e_coeffs, gen_h_coeffs
+from tschur.symfunc import SpecializedVars, gen_e_coeffs, gen_h_coeffs, on_even_degrees
 
 F = Fraction
 
@@ -125,17 +125,13 @@ def test_toeplitz_det_series_over_series_entries():
 
 
 def test_toeplitz_det_series_needs_unit_leading_minors():
-    # T_h mod alpha must have nonzero leading minors below h - 1; a zero minor
-    # used to reach det_gauss (TypeError), a zero constant term divmod (ZeroDivisionError)
+    # the elimination divides by its pivots: a pivot with a zero constant
+    # term cannot be inverted over the series, and says so
     x = TruncatedSeries([0, 1, 0, 0])
     z, one = TruncatedSeries([0, 0, 0, 0]), TruncatedSeries([1, 0, 0, 0])
     for coeffs in ([z, x, z, x, z], [one, x, x, x, one]):
-        sym = SymbolCoefficients(-2, 2, coeffs)
-        with pytest.raises(ValueError, match="nonzero constant term"):
-            toeplitz_det_series(sym, 3)
-        with pytest.raises(ValueError, match="nonzero constant term"):
-            toeplitz_det_series(sym, [1, 3])
-        assert toeplitz_det_series(sym, 2) == coeffs[2] * coeffs[2] - coeffs[1] * coeffs[3]
+        with pytest.raises(ZeroDivisionError, match="X\\^0 coefficient is zero"):
+            toeplitz_det_series(SymbolCoefficients(-2, 2, coeffs), 3)
 
 
 def _fraction_taylor(P, Q, count):
@@ -168,6 +164,11 @@ def _digest(series_list):
     for s in series_list:
         h.update((",".join(str(s.coeff(k)) for k in range(s.order + 1)) + ";").encode())
     return h.hexdigest()
+
+
+def cauchy_rhs_series(m, n, t, degree):
+    """Z_t through alpha^degree: the h-series of mn variables equal to 1, in rho."""
+    return on_even_degrees(gen_h_coeffs(SpecializedVars(m * n, 1), t, degree // 2).coeffs, degree)
 
 
 def _gessel_toeplitz_side(m, n, t, h, degree):

@@ -8,16 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tschur import symfunc
 from tschur.partitions import Partition, partitions
 from tschur.series import TruncatedSeries
 from tschur.symfunc import (
     SpecializedVars,
     _jt_minor,
     cauchy_check,
-    cauchy_rhs_series,
     enumerate_marked_tableaux,
     gen_e_coeffs,
     gen_h_coeffs,
+    on_even_degrees,
     schur_S_t,
     schur_S_t_oracle,
     schur_s,
@@ -266,6 +267,25 @@ def test_cauchy_identity_small():
 def test_cauchy_check_reads_a_float_t_at_its_binary_value():
     # the two sides used to round differently: 64.8401 against 64.84009999999999
     assert cauchy_check(2, 2, -0.3, 8) == (True, None)
+
+
+def test_cauchy_check_names_the_mismatch(monkeypatch):
+    # a perturbed weight of rho^2 shows as the coefficient of alpha^4
+    weights = weights_by_size
+
+    def perturbed(m, n, t, size, max_part=None):
+        w = weights(m, n, t, size, max_part)
+        w[2] += 1
+        return w
+
+    monkeypatch.setattr(symfunc, "weights_by_size", perturbed)
+    rhs = gen_h_coeffs(SpecializedVars(4, 1), F(-1), 4).coeff(2)
+    assert cauchy_check(2, 2, F(-1), 8) == (False, (4, rhs + 1, rhs))
+
+
+def cauchy_rhs_series(m, n, t, degree):
+    """Z_t through alpha^degree: the h-series of mn variables equal to 1, in rho."""
+    return on_even_degrees(gen_h_coeffs(SpecializedVars(m * n, 1), t, degree // 2).coeffs, degree)
 
 
 def test_cauchy_rhs_closed_form():
