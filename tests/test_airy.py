@@ -26,6 +26,30 @@ def test_against_mpmath_oracle():
     np.testing.assert_allclose(got_aip, aip, rtol=1e-11, atol=1e-300)
 
 
+def test_method_seams_against_mpmath():
+    # the table's seams at 0 and 12, its ends -12 and 44 and the points just
+    # beyond them, and every knot midpoint on [-10, 40], where a Horner pass
+    # reaches farthest from its knot
+    seams = np.array([-12.0, 0.0, 12.0, 44.0])
+    xs = np.concatenate([seams - 0.125, seams, seams + 0.125, np.arange(-10, 40, 0.25) + 0.125])
+    with mpmath.workdps(30):
+        ref = np.array([[float(mpmath.airyai(x, derivative=d)) for x in xs] for d in (0, 1)])
+    err = np.abs(np.array(airy_ai(xs)) - ref)
+    pos = xs >= 0
+    assert (err[:, pos] <= 5e-14 * np.abs(ref[:, pos])).all()
+    assert (err[:, ~pos] <= 2e-14 * np.minimum(1, np.abs(xs[~pos]) ** -0.25)).all()
+
+
+def test_edge_values():
+    for x in (math.nan, math.inf, -math.inf, -1e7):
+        assert all(math.isnan(v) for v in airy_ai(x))
+    for x in (105.0, 200.0, 1e6):
+        assert airy_ai(x) == (0.0, 0.0)
+    ai, aip = airy_ai(np.array([math.nan, 105.0, 1.0]))
+    assert math.isnan(ai[0]) and math.isnan(aip[0]) and ai[1] == aip[1] == 0.0
+    assert (ai[2], aip[2]) == airy_ai(1.0)
+
+
 def test_scalar_and_array_interfaces():
     ai, aip = airy_ai(1.0)
     assert isinstance(ai, float)

@@ -187,9 +187,9 @@ def test_dist_output_bytes_pinned():
 # flags parse exactly, so `--alpha 0.4` computes at 2/5
 CONVERGE_SHA256 = {
     "--alpha 0.5 --t 0 --n-list 64 --s-grid=-4,-3,-2,-1,0,1,2,3":
-        "3e540ee780e31cd31c257b4a77827a1488277d41f9699594a92bc2d4be1222dd",
+        "3d98ce097f90862a9f732d9f3d10b95c79b59ce77630fbc71472a7be1da47666",
     "--alpha 0.4 --t=-1 --n-list 50 --s-grid=-4,-3,-2,-1,0,1,2,3":
-        "23c5a75d419e2e8ff33f48c960cb4176ed1b8f3d415a17d52bebd217c3da5b72",
+        "373d27140ec76630f65a05ac382209c949d8ec2092a7554ef80b8c409a564da6",
 }
 
 
@@ -227,9 +227,9 @@ def test_converge_reads_alpha_exactly_as_dist_does():
 # (-8 to 4 in steps of 1/2); caching the quadrature rule must keep every bit
 TW_SHA256 = {
     "--s-grid=-4,-2,0,2":
-        "902ff31f6b8f563271ab6cf20e05c1f8f09c97c42c120f322a2d783e65e4cf00",
+        "804fc1e902fe5b7255deef4c1166e028efc2818057840f910ed06e8d79fa46f9",
     "--s-grid=" + ",".join(str(-8 + 0.5 * i) for i in range(25)):
-        "1195698f7be68693337c6f9ea364e209398dd5cc190072cbd01b9a630b64da9c",
+        "2b0538d69927e32d75189d1a51acf352403f0c38850de064f1f6ceefad49617c",
 }
 
 
@@ -301,16 +301,18 @@ def test_verify_reports_a_failing_criterion(monkeypatch, capsys):
 
 
 # The benchmark times the first two cold commands as its set-up (`CLI_ARGS`
-# in perfbench/workloads.py); `verify` runs criteria 3-6, which need no F2.
+# in perfbench/workloads.py); `tw` needs F2 alone, and `verify` runs
+# criteria 3-6, which need no F2.
 # None needs the modules listed with it.
 @pytest.mark.parametrize("args, unneeded", [
     ("dist --m 2 --n 2 --alpha 1/2 --t=-1/2 --h-max 4",
      "scipy mpmath numpy.random tschur.asymptotics tschur.tracy_widom tschur.airy "
      "tschur.acceptance"),
     ("converge --alpha 1/2 --tau 1 --t 0 --n-list 20 --s-grid=0",
-     "mpmath scipy.optimize scipy.linalg tschur.acceptance"),
+     "scipy mpmath tschur.acceptance"),
+    ("tw --s-grid=0", "scipy mpmath tschur.acceptance"),
     ("verify", "scipy tschur.airy tschur.tracy_widom tschur.asymptotics"),
-], ids=["dist", "converge", "verify"])
+], ids=["dist", "converge", "tw", "verify"])
 def test_cold_command_imports(args, unneeded):
     res = subprocess.run([sys.executable, "-X", "importtime", "-m", "tschur.cli", *args.split()],
                          capture_output=True, text=True)
